@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"time"
 
 	"gapplydb"
@@ -14,7 +17,7 @@ import (
 // never a semantics choice.
 type OrderRow struct {
 	Query string
-	// NoIndex/Indexed are the minimum elapsed times across CompareRepeats
+	// NoIndex/Indexed are the minimum elapsed times across OrderRepeats
 	// runs with the order pass disabled and enabled.
 	NoIndex time.Duration
 	Indexed time.Duration
@@ -72,12 +75,12 @@ func Order(db *gapplydb.Database) ([]OrderRow, error) {
 	var out []OrderRow
 	for _, q := range orderQueries() {
 		noOpts := append([]gapplydb.QueryOption{gapplydb.WithDOP(1), gapplydb.WithoutIndexes()}, q.opts...)
-		nt, nres, err := timeEngine(db, q.sql, noOpts...)
+		nt, nres, err := timeOrdered(db, q.sql, noOpts...)
 		if err != nil {
 			return nil, err
 		}
 		ixOpts := append([]gapplydb.QueryOption{gapplydb.WithDOP(1)}, q.opts...)
-		it, ires, err := timeEngine(db, q.sql, ixOpts...)
+		it, ires, err := timeOrdered(db, q.sql, ixOpts...)
 		if err != nil {
 			return nil, err
 		}
@@ -87,4 +90,48 @@ func Order(db *gapplydb.Database) ([]OrderRow, error) {
 		out = append(out, OrderRow{Query: q.name, NoIndex: nt, Indexed: it, Rows: len(ires.Rows)})
 	}
 	return out, nil
+}
+
+// OrderRepeats is how many times each (query, configuration) pair runs;
+// the minimum is kept. The deltas are fractions of a GC pause, so this
+// is deliberately higher than the suite-wide Repeats: with a collection
+// landing inside roughly every other run, min-of-3 measures which
+// configuration got lucky, not which is faster.
+var OrderRepeats = 9
+
+// timeOrdered is timeQuery with the comparison's noise controls: more
+// repeats, and a forced collection before each timed run so one
+// configuration's garbage doesn't land as a pause inside the other's
+// window.
+func timeOrdered(db *gapplydb.Database, q string, opts ...gapplydb.QueryOption) (time.Duration, *gapplydb.Result, error) {
+	best := time.Duration(0)
+	var last *gapplydb.Result
+	for i := 0; i < OrderRepeats; i++ {
+		runtime.GC()
+		res, err := db.Query(q, opts...)
+		if err != nil {
+			return 0, nil, fmt.Errorf("experiments: %w\nquery: %s", err, q)
+		}
+		if i == 0 || res.Elapsed < best {
+			best = res.Elapsed
+		}
+		last = res
+	}
+	return best, last, nil
+}
+
+// sameResult rejects a timing pair whose configurations disagree — a
+// comparison between different computations measures nothing.
+func sameResult(name string, a, b *gapplydb.Result) error {
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("experiments: %s: configurations disagree: %d rows vs %d",
+			name, len(a.Rows), len(b.Rows))
+	}
+	for i := range a.Rows {
+		if !reflect.DeepEqual(a.Rows[i], b.Rows[i]) {
+			return fmt.Errorf("experiments: %s: configurations disagree at row %d: %v vs %v",
+				name, i, a.Rows[i], b.Rows[i])
+		}
+	}
+	return nil
 }

@@ -378,7 +378,6 @@ type queryConfig struct {
 	budget       Budget
 	noPlanCache  bool
 	noSpool      bool
-	rowExec      bool
 	planCacheHit bool // set after compile; not a user option
 
 	// Tracing (see tracing.go). traceBuilder is either supplied via
@@ -471,16 +470,6 @@ func WithoutSpooling() QueryOption {
 // and for before/after benchmarking, not for production use.
 func WithoutIndexes() QueryOption {
 	return func(c *queryConfig) { c.optOpts.DisableIndexes = true }
-}
-
-// WithRowExecution runs the query on the row-at-a-time (Volcano)
-// engine instead of the default vectorized batch engine. The two
-// engines produce identical rows, errors, counters and profiles; the
-// row engine is kept as the differential-testing oracle and for
-// before/after benchmarking. There is no reason to set this in
-// production.
-func WithRowExecution() QueryOption {
-	return func(c *queryConfig) { c.rowExec = true }
 }
 
 // WithoutRule disables one optimizer rule (see RuleNames) for the query.
@@ -765,15 +754,22 @@ func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (
 	attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
 	db.finishTrace(tb, nil)
 
+	out := newResult(res)
+	out.Elapsed = elapsed
+	out.Stats = statsOf(ectx.Counters)
+	out.Trace = toTrace(c.trace)
+	out.TraceID = tb.ID()
+	out.prof = ectx.Prof
+	return out, nil
+}
+
+// newResult converts an executor result into the public Result's
+// columns and Go-typed rows.
+func newResult(res *exec.Result) *Result {
 	out := &Result{
 		Columns: make([]string, res.Schema.Len()),
 		Rows:    make([][]any, len(res.Rows)),
-		Elapsed: elapsed,
-		Stats:   statsOf(ectx.Counters),
-		Trace:   toTrace(c.trace),
-		TraceID: tb.ID(),
 		inner:   res,
-		prof:    ectx.Prof,
 	}
 	for i, c := range res.Schema.Cols {
 		out.Columns[i] = c.QualifiedName()
@@ -785,7 +781,7 @@ func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (
 		}
 		out.Rows[i] = vals
 	}
-	return out, nil
+	return out
 }
 
 // execContext builds the executor context one configured query runs
@@ -795,7 +791,6 @@ func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Cont
 	ectx.DOP = cfg.dop
 	ectx.Ctx = ctx
 	ectx.NoSpool = cfg.noSpool
-	ectx.RowExec = cfg.rowExec
 	if cfg.planCacheHit {
 		ectx.Counters.PlanCacheHits = 1
 	}

@@ -127,6 +127,31 @@ func TestNullResultsConvert(t *testing.T) {
 	}
 }
 
+// TestIntegerOverflowIsAnError: int64 arithmetic that overflows fails
+// the query instead of returning a wrapped value, while the in-range
+// edge of the same expressions still computes exactly.
+func TestIntegerOverflowIsAnError(t *testing.T) {
+	db := fixture(t)
+	for _, q := range []string{
+		"select 9223372036854775807 + 1 from supplier where s_suppkey = 1",
+		"select 4611686018427387904 * 4 from supplier where s_suppkey = 1",
+		"select (0 - 9223372036854775807 - 1) / (0 - 1) from supplier where s_suppkey = 1",
+		"select p_partkey * 4611686018427387904 from part",
+	} {
+		res, err := db.Query(q)
+		if err == nil || !strings.Contains(err.Error(), "integer overflow") {
+			t.Errorf("%s: err = %v, rows = %v; want an integer overflow error", q, err, res)
+		}
+	}
+	res, err := db.Query("select 9223372036854775806 + 1, (0 - 9223372036854775807 - 1) / 1 from supplier where s_suppkey = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0]; got[0] != int64(9223372036854775807) || got[1] != int64(-9223372036854775808) {
+		t.Errorf("edge-of-range results = %v", got)
+	}
+}
+
 func TestExplain(t *testing.T) {
 	db := fixture(t)
 	q := `select gapply(select count(*) from g) as (n)

@@ -168,161 +168,3 @@ func newStates(aggs []compiledAgg) ([]*accum, error) {
 	}
 	return states, nil
 }
-
-func buildGroupBy(g *core.GroupBy, ctx *Context, env compileEnv) (Iterator, error) {
-	in, err := build(g.Input, ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	inSchema := g.Input.Schema()
-	ords, err := resolveCols(g.GroupCols, inSchema)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := compileAggs(g.Aggs, inSchema, env)
-	if err != nil {
-		return nil, err
-	}
-	return &hashGroupBy{input: in, ords: ords, aggs: aggs, ctx: ctx}, nil
-}
-
-// hashGroupBy materializes groups in first-seen order and emits one row
-// per group: the grouping values followed by the aggregate results. A
-// groupby of the empty input is empty (unlike the scalar aggregate).
-type hashGroupBy struct {
-	input Iterator
-	ords  []int
-	aggs  []compiledAgg
-	ctx   *Context
-
-	keys   []types.Row
-	states [][]*accum
-	pos    int
-}
-
-func (h *hashGroupBy) Open() error {
-	if err := h.input.Open(); err != nil {
-		return err
-	}
-	index := make(map[string]int)
-	h.keys, h.states = nil, nil
-	for {
-		if err := h.ctx.tick(); err != nil {
-			return err
-		}
-		r, ok, err := h.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		k := r.Key(h.ords)
-		idx, exists := index[k]
-		if !exists {
-			st, err := newStates(h.aggs)
-			if err != nil {
-				return err
-			}
-			idx = len(h.keys)
-			index[k] = idx
-			h.keys = append(h.keys, r.Project(h.ords))
-			h.states = append(h.states, st)
-		}
-		if err := feed(h.aggs, h.states[idx], r, h.ctx); err != nil {
-			return err
-		}
-	}
-	if err := h.input.Close(); err != nil {
-		return err
-	}
-	h.pos = 0
-	return nil
-}
-
-func (h *hashGroupBy) Next() (types.Row, bool, error) {
-	if h.pos >= len(h.keys) {
-		return nil, false, nil
-	}
-	i := h.pos
-	h.pos++
-	out := make(types.Row, 0, len(h.ords)+len(h.aggs))
-	out = append(out, h.keys[i]...)
-	for _, st := range h.states[i] {
-		out = append(out, st.result())
-	}
-	return out, true, nil
-}
-
-func (h *hashGroupBy) Close() error {
-	h.keys, h.states = nil, nil
-	return nil
-}
-
-func buildScalarAgg(a *core.AggOp, ctx *Context, env compileEnv) (Iterator, error) {
-	in, err := build(a.Input, ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := compileAggs(a.Aggs, a.Input.Schema(), env)
-	if err != nil {
-		return nil, err
-	}
-	return &scalarAgg{input: in, aggs: aggs, ctx: ctx}, nil
-}
-
-// scalarAgg aggregates the whole input into exactly one row — including
-// on empty input, where count(*) is 0 and other aggregates are NULL.
-// This "not necessarily empty on empty" behaviour is why the paper's
-// selection-pushing rule must verify PGQ(φ)=φ before firing.
-type scalarAgg struct {
-	input Iterator
-	aggs  []compiledAgg
-	ctx   *Context
-	done  bool
-	out   types.Row
-}
-
-func (s *scalarAgg) Open() error {
-	if err := s.input.Open(); err != nil {
-		return err
-	}
-	states, err := newStates(s.aggs)
-	if err != nil {
-		return err
-	}
-	for {
-		if err := s.ctx.tick(); err != nil {
-			return err
-		}
-		r, ok, err := s.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := feed(s.aggs, states, r, s.ctx); err != nil {
-			return err
-		}
-	}
-	if err := s.input.Close(); err != nil {
-		return err
-	}
-	s.out = make(types.Row, len(states))
-	for i, st := range states {
-		s.out[i] = st.result()
-	}
-	s.done = false
-	return nil
-}
-
-func (s *scalarAgg) Next() (types.Row, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	s.done = true
-	return s.out, true, nil
-}
-
-func (s *scalarAgg) Close() error { return nil }

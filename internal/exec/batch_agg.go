@@ -4,9 +4,9 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Batch counterparts of agg.go. The accumulators (accum) are shared
-// with the row engine — the batch operators change how rows arrive, not
-// how aggregates fold — so NULL semantics and empty-input behaviour
+// The aggregation operators. The accumulators (accum, agg.go) are shared
+// with the reference interpreter — the operators change how rows arrive,
+// not how aggregates fold — so NULL semantics and empty-input behaviour
 // stay defined in exactly one place.
 
 // bHashGroupBy materializes groups in first-seen order and emits one

@@ -2,21 +2,39 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/types"
 )
 
-// bgapply is the batch engine's GApply. The partition phase is shared
-// with the row engine verbatim (partitionByHash / partitionBySort over
-// the drained outer rows — identical grouping, budget charges and
-// cancellation points); the execution phase mirrors gapply's serial and
-// parallel paths, pulling inner batches instead of rows. The parallel
-// machinery (parRun: ordered emit, window flow control, counter and
-// profile delta merges in partition order) is reused as-is — only the
-// worker's inner-tree instantiation and drain differ.
+// bgapply is the paper's physical GApply (§3): a Partition phase that
+// splits the drained outer rows into groups on the grouping columns
+// (partitionByHash, partitionBySort, or partitionOrdered when an index
+// already delivers group-key order), then an Execution phase that
+// evaluates the per-group query against each group with the
+// relation-valued parameter bound to the group's rows. Both partition
+// strategies emit results clustered by group, which is what lets the
+// syntax drop the ORDER BY a sorted-outer-union query needs for a
+// constant-space tagger.
+//
+// The execution phase runs the groups either serially through the
+// prebuilt inner tree (the paper's "in succession") or — since the
+// groups are independent by construction — fanned out across a bounded
+// worker pool (parRun), where every worker owns a private Context and a
+// private instantiation of the inner plan, and the consumer emits the
+// buffered per-group results in partition order. Output, counters and
+// profiles are therefore identical to serial execution, clustering
+// included.
+//
+// Both phases are cancellation points: the partition phase polls the
+// query context per outer row and charges materialized bytes against
+// the resource budget; the execution phase polls per batch, and parallel
+// workers stop promptly — without goroutine leaks or dropped counter
+// merges — when the query is cancelled or a group fails or panics.
 type bgapply struct {
 	outer, inner BatchIterator
 	innerPlan    core.Node
@@ -28,8 +46,11 @@ type bgapply struct {
 	groupVar     string
 	sortPart     bool
 	ordered      bool // outer provides the group-key ordering (index path)
-	correlated   bool
-	spools       *spoolRegistry
+	// correlated marks an inner with outer references: it reads rows the
+	// enclosing Apply pushes onto the shared context's stack, which cannot
+	// be snapshotted per worker, so such inners run serially.
+	correlated bool
+	spools     *spoolRegistry // nil when spooling is off or the inner has no invariant subtrees
 
 	groups  [][]types.Row
 	gpos    int
@@ -77,8 +98,10 @@ func (g *bgapply) Open() error {
 	return nil
 }
 
-// degree mirrors gapply.degree: the context's DOP clamped to the group
-// count, with the serial fallback for correlated inners.
+// degree decides how many workers the execution phase uses: the
+// context's DOP (default GOMAXPROCS), clamped to the group count, and 1
+// — the serial fallback — when the inner is correlated with an
+// enclosing Apply.
 func (g *bgapply) degree() int {
 	if g.correlated {
 		return 1
@@ -94,8 +117,10 @@ func (g *bgapply) degree() int {
 }
 
 // advance binds the next group and opens the per-group query over it
-// (serial execution phase), mirroring gapply.advance.
+// (serial execution phase).
 func (g *bgapply) advance() (bool, error) {
+	// Group boundaries are prompt cancellation points: a cancel between
+	// groups is noticed before the next per-group execution starts.
 	if err := g.ctx.checkCancel(); err != nil {
 		return false, err
 	}
@@ -166,8 +191,10 @@ func (g *bgapply) Close() error {
 	return nil
 }
 
-// startWorkers launches the pool, mirroring gapply.startWorkers: the
-// only differences are the batch inner-tree build and the batch drain.
+// startWorkers launches the pool for the groups partitioned by Open.
+// The pool captures the partition snapshot (not the bgapply fields): a
+// later Close/Open on the iterator must not yank state out from under
+// workers that are still winding down.
 func (g *bgapply) startWorkers(dop int) *parRun {
 	groups := g.groups
 	n := len(groups)
@@ -200,21 +227,14 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 				if i >= n {
 					return
 				}
+				// After any group fails the run's outcome is decided (the
+				// consumer stops at the first error in partition order), so
+				// later groups complete empty instead of doing work.
 				if failed.Load() {
 					close(p.ready[i])
 					continue
 				}
-				if inner == nil {
-					it, err := buildBatch(g.innerPlan, wctx, g.env)
-					if err != nil {
-						p.results[i] = parGroup{err: err}
-						failed.Store(true)
-						close(p.ready[i])
-						continue
-					}
-					inner = it
-				}
-				res := g.evalGroup(wctx, inner, groups[i])
+				res := g.runGroup(wctx, &inner, groups[i])
 				if res.err != nil {
 					failed.Store(true)
 				}
@@ -226,10 +246,36 @@ func (g *bgapply) startWorkers(dop int) *parRun {
 	return p
 }
 
+// runGroup evaluates one group on a worker, instantiating the worker's
+// private inner tree on first use. It contains any panic in the group's
+// execution: no caller can recover a panic on another goroutine, so an
+// escaped one would take the whole process — and every session of a
+// server — down with it. The panic becomes the group's error, stack
+// included, and the pool shuts down as it does for any group error. The
+// tree is dropped, since its state after a panic is unknown.
+func (g *bgapply) runGroup(wctx *Context, inner *BatchIterator, group []types.Row) (res parGroup) {
+	defer func() {
+		if r := recover(); r != nil {
+			*inner = nil
+			res = parGroup{err: fmt.Errorf("exec: panic in GApply per-group query: %v\n%s", r, debug.Stack())}
+		}
+	}()
+	if *inner == nil {
+		// Compilation already succeeded once against the same plan, so an
+		// error here is unexpected, but it is still the group's error.
+		it, err := buildBatch(g.innerPlan, wctx, g.env)
+		if err != nil {
+			return parGroup{err: err}
+		}
+		*inner = it
+	}
+	return g.evalGroup(wctx, *inner, group)
+}
+
 // evalGroup runs the per-group query over one group on a worker's
 // private context and batch tree, buffering the output rows with the
-// grouping columns prefixed in one slab — identical layout and
-// counter/profile delta accounting to the row engine's evalGroup.
+// grouping columns prefixed in one slab (the same row layout the serial
+// phase emits) together with the group's counter and profile deltas.
 func (g *bgapply) evalGroup(wctx *Context, inner BatchIterator, group []types.Row) parGroup {
 	before := wctx.Counters
 	var profBefore map[core.Node]NodeStats
@@ -264,7 +310,12 @@ func (g *bgapply) evalGroup(wctx *Context, inner BatchIterator, group []types.Ro
 }
 
 // parNextBatch emits the buffered groups in partition order as batch
-// windows, merging each group's deltas exactly as gapply.parNext does.
+// windows, merging each group's counter and profile deltas into the
+// parent context as it is consumed. The first group error — in
+// partition order, matching what serial execution would surface — shuts
+// the pool down and is returned; a cancelled query stops the wait for
+// the next group immediately rather than blocking on a ready channel its
+// worker may never close.
 func (g *bgapply) parNextBatch() (*Batch, error) {
 	for {
 		if b := g.win.next(); b != nil {

@@ -4,11 +4,10 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Batch counterparts of join.go. The probe side advances through left
-// batches with an explicit cursor (batch, live index, bucket position)
-// so output batches are capped at batchSize: a high-fan-out join still
-// reaches a cancellation point once per output batch, matching the row
-// engine's per-output-row polling to within one batch.
+// The join operators. The probe side advances through left batches with
+// an explicit cursor (batch, live index, bucket position) so output
+// batches are capped at batchSize: a high-fan-out join still reaches a
+// cancellation point once per output batch.
 
 // joinOut assembles concatenated output rows into shared slabs. Every
 // emitted row is a three-index slice of the slab (slab[start:end:end]),
@@ -53,9 +52,11 @@ func (o *joinOut) add(a, b types.Row) {
 }
 
 // bHashJoin builds a hash table on the right input's equi-columns and
-// probes it with left batches. It mirrors hashJoin: the spool-backed
-// rebuild skip via contentVersioned, NULL-key probe skip, residual
-// predicate over the concatenated row, left-outer NULL padding. A nil
+// probes it with left batches: the spool-backed rebuild skip via
+// contentVersioned, NULL-key probe skip (NULL never equals anything),
+// residual predicate over the concatenated row, left-outer NULL padding.
+// Output is left-major in left-input order, matches in right-input
+// order — exactly a nested-loop join's order. A nil
 // pred means the build proved the condition residual-free (the hash
 // key covers every conjunct), so bucket hits emit without evaluation.
 //

@@ -7,10 +7,10 @@ import (
 	"gapplydb/internal/types"
 )
 
-// Batch counterparts of the basic operators in iterators.go. Each
-// mirrors its row twin's Open/Close structure and counter effects
-// exactly — the differential suite holds the two engines byte-identical
-// — but moves batchSize rows per interface call.
+// The basic operators: scans, filter, projections, sort, distinct,
+// union and exists. Each moves batchSize rows per interface call; the
+// differential suite holds their output byte-identical to the reference
+// interpreter's.
 
 // bScan produces a base table in zero-copy batches: each batch aliases
 // a window of the table's row slice.
@@ -223,7 +223,7 @@ func projectBatch(b *Batch, ords []int, slab *rowSlab, dst []types.Row) []types.
 }
 
 // bFused is filter+project fused into one pass: narrow the selection,
-// then gather only the survivors. build inserts it for Project-over-
+// then gather only the survivors. buildBatch inserts it for Project-over-
 // Select when neither node needs its own probe or spool identity, so
 // the fusion is invisible to EXPLAIN ANALYZE and the spool counters.
 type bFused struct {
@@ -483,9 +483,9 @@ func (s *bSort) Close() error {
 
 // bExists consumes its input and emits a single zero-column row when
 // the input is nonempty (or empty, when negated). It pulls one batch
-// where the row engine pulls one row; the upstream may therefore do up
-// to one batch of extra work — outputs are identical, and the
-// differential suite compares outputs, not work counters.
+// where one row would decide; the upstream may therefore do up to one
+// batch of extra work — outputs are unaffected, and the differential
+// suite compares outputs, not work counters.
 type bExists struct {
 	input   BatchIterator
 	negated bool

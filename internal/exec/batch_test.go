@@ -158,15 +158,17 @@ func TestBatchEngineParityOnJoinFusionShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bctx, rctx := mk()
-			rctx.RowExec = true
 			batch := mustRun(t, tc.plan(bctx), bctx)
-			row := mustRun(t, tc.plan(rctx), rctx)
-			if len(batch.Rows) != len(row.Rows) {
-				t.Fatalf("engines disagree: batch %d rows, row %d rows", len(batch.Rows), len(row.Rows))
+			ref, err := Reference(tc.plan(rctx), rctx.Catalog)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range row.Rows {
-				if !reflect.DeepEqual(batch.Rows[i], row.Rows[i]) {
-					t.Fatalf("row %d: batch %v vs row %v", i, batch.Rows[i], row.Rows[i])
+			if len(batch.Rows) != len(ref.Rows) {
+				t.Fatalf("batch %d rows, reference %d rows", len(batch.Rows), len(ref.Rows))
+			}
+			for i := range ref.Rows {
+				if !reflect.DeepEqual(batch.Rows[i], ref.Rows[i]) {
+					t.Fatalf("row %d: batch %v vs reference %v", i, batch.Rows[i], ref.Rows[i])
 				}
 			}
 		})
@@ -243,21 +245,5 @@ func TestRunBatchCancellation(t *testing.T) {
 	ctx.Ctx = cctx
 	if _, err := Run(joined(ctx), ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on a cancelled context = %v, want context.Canceled", err)
-	}
-}
-
-func TestRowAdapterRoundTrip(t *testing.T) {
-	ctx := fixture(t)
-	it, err := BuildBatch(joined(ctx), ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &rowAdapter{inner: it}
-	rows, err := drainWith(a, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("adapter drained %d rows, want 5", len(rows))
 	}
 }

@@ -4,15 +4,24 @@ import (
 	"fmt"
 
 	"gapplydb/internal/core"
+	"gapplydb/internal/schema"
 	"gapplydb/internal/types"
 )
 
 // BuildBatch compiles a logical plan into a batch-iterator tree bound
-// to ctx — the batch engine's Build. Physical choices honor the same
-// optimizer hints, and probe/spool wrapping follows the same discipline
-// as build: the probe sits inside the spool, so replays bypass the
-// subtree's instrumentation and EXPLAIN ANALYZE actuals stay
-// dop-invariant and engine-invariant (rows are counted, not batches).
+// to ctx. Physical choices honor the hints the optimizer set on the
+// logical nodes (join method, GApply partition strategy, elided sorts).
+//
+// When the context carries a Profile, every compiled iterator is
+// wrapped in an instrumented probe keyed by its plan node; with a nil
+// Profile the iterators are returned bare, so disabled instrumentation
+// costs nothing at execution time. When the node is a registered
+// invariant root of the enclosing GApply's inner plan, the
+// (probe-wrapped) iterator is additionally wrapped in a spool sharing
+// the registry's holder. The probe sits inside the spool on purpose:
+// replays then bypass the subtree's instrumentation, so EXPLAIN ANALYZE
+// reports the one real execution (loops=1) at every degree of
+// parallelism, and actuals count rows, not batches.
 func BuildBatch(n core.Node, ctx *Context) (BatchIterator, error) {
 	return buildBatch(n, ctx, nil)
 }
@@ -225,9 +234,10 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 
 	case *core.OrderBy:
 		if x.Elided {
-			// Pass-through, mirroring build: the input already provides
-			// this exact ordering, the probe wrapper keeps the operator's
-			// EXPLAIN ANALYZE line.
+			// The optimizer proved the input provides exactly this
+			// ordering; the node compiles to a pass-through. Its probe
+			// wrapper still counts rows, so EXPLAIN ANALYZE keeps the
+			// operator's line with the sort work elided.
 			return buildBatch(x.Input, ctx, env)
 		}
 		in, err := buildBatch(x.Input, ctx, env)
@@ -396,12 +406,20 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 	if err != nil {
 		return nil, err
 	}
+	// Identify the inner plan's maximal group-invariant subtrees and give
+	// each a shared materialization holder; the inner compile below (and
+	// every per-worker compile of the same plan) wraps those roots in
+	// spool iterators pointing at the same holders, so each invariant
+	// subtree executes once per Open no matter how many trees or workers
+	// re-Open it.
 	var spools *spoolRegistry
 	if !ctx.NoSpool {
 		if roots := core.InvariantRoots(g.Inner); len(roots) > 0 {
 			spools = newSpoolRegistry(roots)
 		}
 	}
+	// The per-group query reads the group through GroupScan, not through
+	// OuterRefs, so it compiles against the same env.
 	prevSpools := ctx.spools
 	ctx.spools = spools
 	inner, err := buildBatch(g.Inner, ctx, env)
@@ -424,4 +442,35 @@ func buildBatchGApply(g *core.GApply, ctx *Context, env compileEnv) (BatchIterat
 		ordered:    core.GApplyOuterOrdered(g),
 		correlated: len(core.OuterRefsIn(g.Inner)) > 0,
 	}, nil
+}
+
+// compiledKey is a sort key with its evaluator.
+type compiledKey struct {
+	fn   evalFn
+	desc bool
+}
+
+func compileOrderKeys(keys []core.OrderKey, in *schema.Schema, env compileEnv) ([]compiledKey, error) {
+	out := make([]compiledKey, len(keys))
+	for i, k := range keys {
+		fn, err := compileExpr(k.Expr, in, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = compiledKey{fn: fn, desc: k.Desc}
+	}
+	return out, nil
+}
+
+// resolveCols maps column refs to ordinals in a schema.
+func resolveCols(cols []*core.ColRef, in *schema.Schema) ([]int, error) {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		ord, err := in.Resolve(c.Table, c.Name)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ord
+	}
+	return out, nil
 }

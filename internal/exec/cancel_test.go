@@ -120,26 +120,26 @@ func TestCancelMidExecutionParallel(t *testing.T) {
 	ctx := NewContext(cat)
 	ctx.DOP = 8
 	ctx.Ctx = cctx
-	it, err := Build(heavySelfJoin(ctx), ctx)
+	it, err := BuildBatch(heavySelfJoin(ctx), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := it.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %v err=%v", b, err)
 	}
 	cancel()
 	start := time.Now()
 	var nextErr error
 	for {
-		_, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			nextErr = err
 			break
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
 	}
@@ -165,21 +165,23 @@ func TestCancelAfterLastRow(t *testing.T) {
 		ctx := fixture(t)
 		ctx.DOP = dop
 		ctx.Ctx = cctx
-		it, err := Build(gapplyQ1(ctx, core.PartitionHash), ctx)
+		it, err := BuildBatch(gapplyQ1(ctx, core.PartitionHash), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := it.Open(); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 7; i++ { // Q1 over the fixture emits exactly 7 rows
-			if _, ok, err := it.Next(); err != nil || !ok {
-				t.Fatalf("dop=%d row %d: ok=%v err=%v", dop, i, ok, err)
+		for n := 0; n < 7; { // Q1 over the fixture emits exactly 7 rows
+			b, err := it.NextBatch()
+			if err != nil || b == nil {
+				t.Fatalf("dop=%d after %d rows: batch=%v err=%v", dop, n, b, err)
 			}
+			n += b.Len()
 		}
 		cancel()
-		if _, _, err := it.Next(); !errorsIsCanceled(err) {
-			t.Errorf("dop=%d: Next after last row with cancel = %v, want context.Canceled", dop, err)
+		if _, err := it.NextBatch(); !errorsIsCanceled(err) {
+			t.Errorf("dop=%d: NextBatch after last row with cancel = %v, want context.Canceled", dop, err)
 		}
 		it.Close()
 	}
@@ -231,6 +233,104 @@ func TestParallelGroupErrorPropagatesNoLeak(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
+// TestParallelGroupPanicContained makes one group's per-group query
+// panic inside a dop-8 worker: the panic must come back as the query's
+// error, stack included, instead of killing the process; the pool must
+// wind down without leaking goroutines; and a query running
+// concurrently on the same catalog must be unaffected.
+func TestParallelGroupPanicContained(t *testing.T) {
+	cat := groupedCatalog(t, 64, 10)
+	tab, err := cat.Lookup("obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-column row, appended behind the storage layer's back, puts a
+	// row without a v column into the group with key 3. Partitioning reads
+	// only k, so the index-out-of-range panic fires in the per-group query.
+	tab.Rows = append(tab.Rows, types.Row{types.NewInt(3)})
+	perGroup := func(ctx *Context, agg core.AggSpec) *core.GApply {
+		inner := &core.AggOp{Input: &core.GroupScan{Var: "g"}, Aggs: []core.AggSpec{agg}}
+		return core.NewGApply(scan(ctx, "obs"), []*core.ColRef{core.Col("k")}, "g", inner)
+	}
+	count := core.AggSpec{Fn: "count", Star: true, As: "n"} // never reads v
+	sum := core.AggSpec{Fn: "sum", Arg: core.Col("v"), As: "s"}
+
+	runCount := func() ([]string, error) {
+		ctx := NewContext(cat)
+		ctx.DOP = 8
+		res, err := Run(perGroup(ctx, count), ctx)
+		if err != nil {
+			return nil, err
+		}
+		return renderRows(res.Rows), nil
+	}
+	want, err := runCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	var got []string
+	var gotErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20 && gotErr == nil; i++ {
+			got, gotErr = runCount()
+		}
+	}()
+
+	ctx := NewContext(cat)
+	ctx.DOP = 8
+	_, err = Run(perGroup(ctx, sum), ctx)
+	if err == nil || !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("err = %v, want the contained index-out-of-range panic", err)
+	}
+	if !strings.Contains(err.Error(), "runGroup") {
+		t.Errorf("panic error carries no stack:\n%v", err)
+	}
+	<-done
+	if gotErr != nil {
+		t.Fatalf("concurrent query: %v", gotErr)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("concurrent query diverged:\n%v\nwant:\n%v", got, want)
+	}
+	waitNoExtraGoroutines(t, base)
+}
+
+// panicIter is a batch iterator whose first pull panics.
+type panicIter struct{}
+
+func (panicIter) Open() error                { return nil }
+func (panicIter) NextBatch() (*Batch, error) { panic("boom") }
+func (panicIter) Close() error               { return nil }
+
+// TestSpoolBuildPanicFailsLaterOpens: a spool materialization is shared
+// by every worker's tree. When its build panics (the worker recovers and
+// reports it), the other trees' Opens of the same holder must fail, not
+// replay an empty materialization as if the subtree produced no rows.
+func TestSpoolBuildPanicFailsLaterOpens(t *testing.T) {
+	ctx := fixture(t)
+	node := scan(ctx, "part")
+	reg := newSpoolRegistry([]core.Node{node})
+	reg.reset()
+	open := func() error {
+		return (&bspool{inner: panicIter{}, node: node, h: reg.holders[node], ctx: ctx}).Open()
+	}
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		_ = open()
+		return false
+	}()
+	if !panicked {
+		t.Fatal("the build's panic did not propagate")
+	}
+	if err := open(); !errors.Is(err, errSpoolPanicked) {
+		t.Fatalf("Open after a panicked build = %v, want errSpoolPanicked", err)
+	}
+}
+
 // TestCancelledWorkersDropCleanly: cancelling mid-run and then closing
 // must not deadlock Close or leak the pool, and the iterator must be
 // reusable after a fresh Open (Apply depends on re-execution).
@@ -240,19 +340,19 @@ func TestCancelReopenAfterCancel(t *testing.T) {
 	ctx := NewContext(cat)
 	ctx.DOP = 4
 	ctx.Ctx = cctx
-	it, err := Build(heavySelfJoin(ctx), ctx)
+	it, err := BuildBatch(heavySelfJoin(ctx), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if b, err := it.NextBatch(); err != nil || b == nil {
+		t.Fatalf("first batch: %v err=%v", b, err)
 	}
 	cancel()
 	for {
-		if _, ok, err := it.Next(); err != nil || !ok {
+		if b, err := it.NextBatch(); err != nil || b == nil {
 			break
 		}
 	}
@@ -266,14 +366,14 @@ func TestCancelReopenAfterCancel(t *testing.T) {
 	}
 	n := 0
 	for {
-		_, ok, err := it.Next()
+		b, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		n++
+		n += b.Len()
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

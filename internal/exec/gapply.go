@@ -2,161 +2,18 @@ package exec
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gapplydb/internal/core"
 	"gapplydb/internal/types"
 )
 
-func buildGApply(g *core.GApply, ctx *Context, env compileEnv) (Iterator, error) {
-	outer, err := build(g.Outer, ctx, env)
-	if err != nil {
-		return nil, err
-	}
-	ords, err := resolveCols(g.GroupCols, g.Outer.Schema())
-	if err != nil {
-		return nil, err
-	}
-	// Identify the inner plan's maximal group-invariant subtrees and give
-	// each a shared materialization holder; the inner compile below (and
-	// every per-worker compile of the same plan) wraps those roots in
-	// spool iterators pointing at the same holders, so each invariant
-	// subtree executes once per Open no matter how many trees or workers
-	// re-Open it.
-	var spools *spoolRegistry
-	if !ctx.NoSpool {
-		if roots := core.InvariantRoots(g.Inner); len(roots) > 0 {
-			spools = newSpoolRegistry(roots)
-		}
-	}
-	// The per-group query reads the group through GroupScan, not through
-	// OuterRefs, so it compiles against the same env.
-	prevSpools := ctx.spools
-	ctx.spools = spools
-	inner, err := build(g.Inner, ctx, env)
-	ctx.spools = prevSpools
-	if err != nil {
-		return nil, err
-	}
-	return &gapply{
-		outer:     outer,
-		inner:     inner,
-		spools:    spools,
-		innerPlan: g.Inner,
-		plan:      g,
-		env:       env,
-		ctx:       ctx,
-		ords:      ords,
-		groupVar:  g.GroupVar,
-		sortPart:  g.Partition == core.PartitionSort,
-		ordered:   core.GApplyOuterOrdered(g),
-		// An inner with outer references reads rows the enclosing Apply
-		// pushes onto the shared context's stack as it iterates; that
-		// state cannot be snapshotted per worker, so such inners run
-		// serially (the workers' fallback the parallel phase checks).
-		correlated: len(core.OuterRefsIn(g.Inner)) > 0,
-	}, nil
-}
-
-// gapply is the paper's physical GApply (§3): a Partition phase that
-// splits the outer stream into groups on the grouping columns (by
-// hashing or sorting), then an Execution phase that evaluates the
-// per-group query against each group with the relation-valued parameter
-// $group bound to the group's rows. Both partition strategies emit
-// results clustered by group, which is what lets the syntax drop the
-// ORDER BY a sorted-outer-union query needs for a constant-space tagger.
-//
-// The execution phase runs the groups either serially through the
-// prebuilt inner tree (the paper's "in succession") or — since the
-// groups are independent by construction — fanned out across a bounded
-// worker pool, where every worker owns a private Context and a private
-// instantiation of the inner plan, and a reorder stage emits the
-// buffered per-group results in partition order. Output is therefore
-// byte-identical to serial execution, clustering included.
-//
-// Both phases are cancellation points: the partition phase polls the
-// query context per outer row and charges materialized bytes against
-// the resource budget; the execution phase polls per produced row, and
-// parallel workers stop promptly — without goroutine leaks or dropped
-// counter merges — when the query is cancelled or a group fails.
-type gapply struct {
-	outer, inner Iterator
-	innerPlan    core.Node
-	plan         *core.GApply
-	env          compileEnv
-	ctx          *Context
-	ords         []int
-	groupVar     string
-	sortPart     bool
-	ordered      bool // outer provides the group-key ordering (index path)
-	correlated   bool
-	spools       *spoolRegistry // nil when the inner has no invariant subtrees
-
-	groups  [][]types.Row
-	gpos    int
-	keyVals types.Row
-	started bool
-
-	par  *parRun     // non-nil while a parallel execution phase is live
-	buf  []types.Row // current group's buffered output (parallel mode)
-	bpos int
-}
-
-func (g *gapply) Open() error {
-	if g.par != nil { // re-Open without an intervening Close
-		g.par.shutdown()
-		g.par = nil
-	}
-	if g.spools != nil {
-		// Fresh materializations once per Open: the previous pool (if any)
-		// has fully stopped above, so no worker can observe the reset.
-		g.spools.reset()
-	}
-	rows, err := drainWith(g.outer, g.ctx)
-	if err != nil {
-		return err
-	}
-	switch {
-	case g.sortPart && g.ordered:
-		g.groups, err = partitionOrdered(rows, g.ords, g.ctx, g.plan)
-	case g.sortPart:
-		g.groups, err = partitionBySort(rows, g.ords, g.ctx, g.plan)
-	default:
-		g.groups, err = partitionByHash(rows, g.ords, g.ctx, g.plan)
-	}
-	if err != nil {
-		return err
-	}
-	g.ctx.Counters.Groups += int64(len(g.groups))
-	g.gpos = 0
-	g.started = false
-	g.buf, g.bpos = nil, 0
-	if dop := g.degree(); dop > 1 {
-		g.par = g.startWorkers(dop)
-	}
-	return nil
-}
-
-// degree decides how many workers the execution phase uses: the
-// context's DOP (default GOMAXPROCS), clamped to the group count, and 1
-// — the serial fallback — when the inner is correlated with an
-// enclosing Apply.
-func (g *gapply) degree() int {
-	if g.correlated {
-		return 1
-	}
-	dop := g.ctx.DOP
-	if dop <= 0 {
-		dop = runtime.GOMAXPROCS(0)
-	}
-	if dop > len(g.groups) {
-		dop = len(g.groups)
-	}
-	return dop
-}
+// This file holds the pieces of the paper's physical GApply (§3) that
+// the batch operator (batch_gapply.go) builds on: the Partition phase,
+// which splits the outer rows into groups on the grouping columns by
+// hashing or sorting, and the parRun state of the parallel Execution
+// phase.
 
 // chargePartition bills the budget for one row materialized into a
 // partition, labelling a blown budget with the GApply's plan shape.
@@ -292,71 +149,6 @@ func cutGroupRuns(sorted []types.Row, ords []int) [][]types.Row {
 	return groups
 }
 
-// advance binds the next group and opens the per-group query over it
-// (serial execution phase).
-func (g *gapply) advance() (bool, error) {
-	// Group boundaries are prompt cancellation points: a cancel between
-	// groups is noticed before the next per-group execution starts.
-	if err := g.ctx.checkCancel(); err != nil {
-		return false, err
-	}
-	for g.gpos < len(g.groups) {
-		group := g.groups[g.gpos]
-		g.gpos++
-		g.ctx.BindGroup(g.groupVar, group)
-		g.keyVals = group[0].Project(g.ords)
-		g.ctx.Counters.InnerExecs++
-		g.ctx.Counters.SerialGroupExecs++
-		if err := g.inner.Open(); err != nil {
-			return false, err
-		}
-		g.started = true
-		return true, nil
-	}
-	return false, nil
-}
-
-func (g *gapply) Next() (types.Row, bool, error) {
-	if g.par != nil {
-		return g.parNext()
-	}
-	for {
-		if !g.started {
-			ok, err := g.advance()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-		}
-		r, ok, err := g.inner.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return g.keyVals.Concat(r), true, nil
-		}
-		if err := g.inner.Close(); err != nil {
-			return nil, false, err
-		}
-		g.started = false
-	}
-}
-
-func (g *gapply) Close() error {
-	if g.par != nil {
-		g.par.shutdown()
-		g.par = nil
-	}
-	g.groups, g.buf = nil, nil
-	if g.started {
-		g.started = false
-		return g.inner.Close()
-	}
-	return nil
-}
-
 // ---------------------------------------------- parallel execution phase
 
 // parGroup is one group's buffered evaluation: its output rows (already
@@ -413,170 +205,6 @@ func newParRun(n, dop int) *parRun {
 		p.ready[i] = make(chan struct{})
 	}
 	return p
-}
-
-// startWorkers launches the pool for the groups partitioned by Open.
-// The pool captures the partition snapshot (not the gapply fields): a
-// later Close/Open on the iterator must not yank state out from under
-// workers that are still winding down.
-func (g *gapply) startWorkers(dop int) *parRun {
-	groups := g.groups
-	n := len(groups)
-	p := newParRun(n, dop)
-	// Workers run under a context derived from the query's: cancelling
-	// the query (or shutting the pool down) interrupts a worker even
-	// mid-group, via the same row-batch ticks serial execution uses.
-	parent := g.ctx.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	wctxCtx, cancel := context.WithCancel(parent)
-	p.cancel = cancel
-	var next atomic.Int64
-	var failed atomic.Bool
-	p.wg.Add(dop)
-	for w := 0; w < dop; w++ {
-		go func() {
-			defer p.wg.Done()
-			wctx := g.ctx.fork()
-			wctx.Ctx = wctxCtx
-			// The worker compiles its private inner tree against the
-			// gapply's spool registry, so its spool iterators share the
-			// holders (and materializations) of every other tree.
-			wctx.spools = g.spools
-			var inner Iterator
-			for {
-				select {
-				case <-p.stop:
-					return
-				case <-wctxCtx.Done():
-					return
-				case p.window <- struct{}{}:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// After any group fails the run's outcome is decided (the
-				// consumer stops at the first error in partition order), so
-				// later groups complete empty instead of doing work.
-				if failed.Load() {
-					close(p.ready[i])
-					continue
-				}
-				if inner == nil {
-					// Instantiate this worker's private inner tree, bound to
-					// its private context. Compilation already succeeded once
-					// against the same plan, so an error here is unexpected
-					// but still reported through the group's slot.
-					it, err := build(g.innerPlan, wctx, g.env)
-					if err != nil {
-						p.results[i] = parGroup{err: err}
-						failed.Store(true)
-						close(p.ready[i])
-						continue
-					}
-					inner = it
-				}
-				res := evalGroup(g, wctx, inner, groups[i])
-				if res.err != nil {
-					failed.Store(true)
-				}
-				p.results[i] = res
-				close(p.ready[i])
-			}
-		}()
-	}
-	return p
-}
-
-// evalGroup runs the per-group query over one group on a worker's
-// private context and tree, buffering the output rows with the grouping
-// columns prefixed — the same row layout the serial phase streams.
-func evalGroup(g *gapply, wctx *Context, inner Iterator, group []types.Row) parGroup {
-	before := wctx.Counters
-	var profBefore map[core.Node]NodeStats
-	if wctx.Prof != nil {
-		profBefore = wctx.Prof.snapshot()
-	}
-	wctx.BindGroup(g.groupVar, group)
-	wctx.Counters.InnerExecs++
-	wctx.Counters.ParallelGroupExecs++
-	key := group[0].Project(g.ords)
-	rows, err := drainWith(inner, wctx)
-	out := parGroup{err: err}
-	if err == nil {
-		// Prefix every output row with the grouping-column values, copying
-		// into one slab for the whole group instead of allocating a fresh
-		// backing array per row (key.Concat would); the three-index slices
-		// keep rows from aliasing each other's capacity.
-		total := 0
-		for _, r := range rows {
-			total += len(key) + len(r)
-		}
-		slab := make(types.Row, 0, total)
-		out.rows = make([]types.Row, len(rows))
-		for i, r := range rows {
-			start := len(slab)
-			slab = append(slab, key...)
-			slab = append(slab, r...)
-			out.rows[i] = slab[start:len(slab):len(slab)]
-		}
-	}
-	out.delta = wctx.Counters.Sub(before)
-	if wctx.Prof != nil {
-		out.prof = wctx.Prof.since(profBefore)
-	}
-	return out
-}
-
-// parNext emits the buffered groups in partition order, merging each
-// group's counter delta into the parent context as it is consumed. The
-// first group error — in partition order, matching what serial
-// execution would surface — shuts the pool down and is returned; a
-// cancelled query stops the wait for the next group immediately rather
-// than blocking on a ready channel its worker may never close.
-func (g *gapply) parNext() (types.Row, bool, error) {
-	for {
-		if g.bpos < len(g.buf) {
-			r := g.buf[g.bpos]
-			g.bpos++
-			return r, true, nil
-		}
-		if g.gpos >= len(g.groups) {
-			// A cancel that lands after the last group still cancels.
-			if err := g.ctx.checkCancel(); err != nil {
-				return nil, false, err
-			}
-			return nil, false, nil
-		}
-		i := g.gpos
-		g.gpos++
-		var done <-chan struct{}
-		if g.ctx.Ctx != nil {
-			done = g.ctx.Ctx.Done()
-		}
-		select {
-		case <-g.par.ready[i]:
-		case <-done:
-			g.par.shutdown()
-			return nil, false, context.Cause(g.ctx.Ctx)
-		}
-		res := g.par.results[i]
-		g.par.results[i] = parGroup{}
-		<-g.par.window
-		g.ctx.Counters.Add(res.delta)
-		if g.ctx.Prof != nil && res.prof != nil {
-			g.ctx.Prof.merge(res.prof)
-		}
-		if res.err != nil {
-			// Stop the pool now rather than waiting for Close: the error
-			// decides the query, so no worker should keep computing.
-			g.par.shutdown()
-			return nil, false, res.err
-		}
-		g.buf, g.bpos = res.rows, 0
-	}
 }
 
 // shutdown stops the pool — closing the claim gate and cancelling the

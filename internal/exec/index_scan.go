@@ -15,7 +15,7 @@ import (
 // window by two binary searches.
 //
 // An index scan emits exactly the rows a heap scan plus a stable sort
-// would, so RowsScanned counts every emitted row, as tableScan does; a
+// would, so RowsScanned counts every emitted row, as bScan does; a
 // bounded scan counts only the rows inside the window — the rows it
 // actually produced.
 
@@ -72,42 +72,6 @@ func indexWindow(run *storage.IndexRun, p *core.IndexScan) (int, int) {
 	}
 	return lo, hi
 }
-
-// indexScan is the row engine's index scan.
-type indexScan struct {
-	plan *core.IndexScan
-	ctx  *Context
-
-	table    *storage.Table
-	run      *storage.IndexRun
-	pos, end int
-}
-
-func (s *indexScan) Open() error {
-	tab, run, lo, hi, err := openIndexRun(s.plan, s.ctx)
-	if err != nil {
-		return err
-	}
-	s.table, s.run, s.pos, s.end = tab, run, lo, hi
-	return nil
-}
-
-func (s *indexScan) Next() (types.Row, bool, error) {
-	// Leaf scans are the engine's universal cancellation point, exactly
-	// as in tableScan.
-	if err := s.ctx.tick(); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= s.end {
-		return nil, false, nil
-	}
-	r := s.table.Rows[s.run.Pos[s.pos]]
-	s.pos++
-	s.ctx.Counters.RowsScanned++
-	return r, true, nil
-}
-
-func (s *indexScan) Close() error { return nil }
 
 // bIndexScan is the batch engine's index scan. Unlike bScan it cannot
 // alias a window of the table's row slice — the run permutes positions —

@@ -76,118 +76,6 @@ func (m *mergeRun) equalRange(k []byte) (int, int) {
 	return lo, hi
 }
 
-// mergeJoin is the row engine's merge join. It mirrors hashJoin's
-// Open/Next/Close structure, counters (JoinProbes once per left row),
-// NULL-key probe skip, residual predicate over the concatenated row,
-// left-outer padding, and the spool-fed rebuild skip via
-// contentVersioned.
-type mergeJoin struct {
-	left, right Iterator
-	pred        func(types.Row, *Context) (bool, error)
-	ctx         *Context
-	leftOrd     int
-	rightOrd    int
-	outerJoin   bool
-	rightArity  int
-
-	run     *mergeRun
-	runGen  uint64
-	hasGen  bool
-	keyBuf  []byte
-	cur     types.Row
-	bpos    int
-	bend    int
-	matched bool
-}
-
-func (m *mergeJoin) Open() error {
-	if err := m.right.Open(); err != nil {
-		return err
-	}
-	rebuild := true
-	if cv, ok := m.right.(contentVersioned); ok {
-		if gen, stable := cv.contentGen(); stable {
-			if m.hasGen && m.run != nil && gen == m.runGen {
-				rebuild = false
-			} else {
-				m.runGen, m.hasGen = gen, true
-			}
-		} else {
-			m.hasGen = false
-		}
-	}
-	if rebuild {
-		var rows []types.Row
-		for {
-			if err := m.ctx.tick(); err != nil {
-				return err
-			}
-			r, ok, err := m.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, r)
-		}
-		m.run = newMergeRun(rows, m.rightOrd)
-	}
-	if err := m.right.Close(); err != nil {
-		return err
-	}
-	m.cur, m.bpos, m.bend = nil, 0, 0
-	return m.left.Open()
-}
-
-func (m *mergeJoin) Next() (types.Row, bool, error) {
-	for {
-		if m.cur == nil {
-			r, ok, err := m.left.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			m.ctx.Counters.JoinProbes++
-			m.cur = r
-			// NULL join keys never match (predicate equality), so skip
-			// the probe; outer join still pads.
-			if r[m.leftOrd].IsNull() {
-				m.bpos, m.bend = 0, 0
-			} else {
-				m.keyBuf = storage.EncodeIndexKey(m.keyBuf[:0], r[m.leftOrd])
-				m.bpos, m.bend = m.run.equalRange(m.keyBuf)
-			}
-			m.matched = false
-		}
-		for m.bpos < m.bend {
-			rr := m.run.rows[m.bpos]
-			m.bpos++
-			out := m.cur.Concat(rr)
-			pass, err := m.pred(out, m.ctx)
-			if err != nil {
-				return nil, false, err
-			}
-			if pass {
-				m.matched = true
-				return out, true, nil
-			}
-		}
-		if m.outerJoin && !m.matched {
-			out := m.cur.Concat(make(types.Row, m.rightArity))
-			m.cur = nil
-			return out, true, nil
-		}
-		m.cur = nil
-	}
-}
-
-func (m *mergeJoin) Close() error {
-	if !m.hasGen {
-		m.run = nil
-	}
-	return m.left.Close()
-}
-
 // bMergeJoin is the batch engine's merge join, mirroring bHashJoin's
 // cursor structure, reused probe row, fused post-filter, residual-free
 // fast path (pred == nil when the equi-key covers the whole condition),

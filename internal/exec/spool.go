@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +16,7 @@ import (
 // base-table scan is re-scanned, a hash-join build side is re-built, an
 // invariant scalar subquery is re-aggregated, thousands of times. The
 // spool materializes each maximal invariant subtree exactly once per
-// gapply.Open and replays the buffered rows on every subsequent re-Open.
+// GApply Open and replays the buffered rows on every subsequent re-Open.
 // The materialization is shared read-only across parallel workers (each
 // worker has a private iterator tree, but all spool iterators compiled
 // from the same plan node share one holder), so dop-8 builds an
@@ -23,9 +24,10 @@ import (
 
 // spoolGen hands out a process-global generation number per
 // materialization. Downstream operators that cache work derived from a
-// spool's content (hashJoin's build table) compare generations to decide
-// whether their cache is still current; a fresh build — even of the same
-// subtree after a re-partition — always gets a new generation.
+// spool's content (the hash and merge joins' build sides) compare
+// generations to decide whether their cache is still current; a fresh
+// build — even of the same subtree after a re-partition — always gets a
+// new generation.
 var spoolGen atomic.Uint64
 
 // contentVersioned is implemented by iterators whose output is a stable
@@ -39,10 +41,11 @@ type contentVersioned interface {
 }
 
 // spoolRegistry maps the invariant roots of one GApply's inner plan to
-// their shared materialization holders. It is created at buildGApply
-// time, read (never written) during inner-tree compilation — including
-// the per-worker compiles parallel execution performs — and reset once
-// per gapply.Open, strictly before any worker starts.
+// their shared materialization holders. It is created at
+// buildBatchGApply time, read (never written) during inner-tree
+// compilation — including the per-worker compiles parallel execution
+// performs — and reset once per GApply Open, strictly before any worker
+// starts.
 type spoolRegistry struct {
 	holders map[core.Node]*spoolHolder
 }
@@ -56,8 +59,8 @@ func newSpoolRegistry(roots []core.Node) *spoolRegistry {
 	return r
 }
 
-// reset gives every holder a fresh, unbuilt state. Called by gapply.Open
-// on the consumer goroutine; the happens-before edge to workers is the
+// reset gives every holder a fresh, unbuilt state. Called by the GApply's
+// Open on the consumer goroutine; the happens-before edge to workers is the
 // goroutine spawn in startWorkers (and Open waits out any previous pool
 // first), so no lock is needed.
 func (r *spoolRegistry) reset() {
@@ -65,6 +68,10 @@ func (r *spoolRegistry) reset() {
 		h.state = &spoolState{}
 	}
 }
+
+// errSpoolPanicked is the state of a materialization whose build
+// panicked.
+var errSpoolPanicked = errors.New("exec: spool materialization panicked")
 
 // spoolHolder is the sharing point for one invariant root: every spool
 // iterator compiled from that plan node (serial tree + one per worker)
@@ -84,30 +91,34 @@ type spoolState struct {
 	gen   uint64
 }
 
-// spool materializes its input subtree once per holder reset and replays
-// the buffered rows on every Open. It wraps the (possibly probe-wrapped)
-// compiled subtree, so under EXPLAIN ANALYZE the subtree's operators
-// report the single real execution — loops=1 at any dop — while replays
-// and the spool's own build/hit tallies are recorded on the root node's
-// NodeStats. Build cost is charged per row against MaxPartitionBytes:
-// the spool is a materialization, the same budget dimension as GApply's
-// partitions.
-type spool struct {
-	inner Iterator
+// bspool materializes its input subtree once per holder reset and
+// replays the buffered rows on every Open, in aliased batch windows (no
+// copy). It wraps the (possibly probe-wrapped) compiled subtree, so under
+// EXPLAIN ANALYZE the subtree's operators report the single real
+// execution — loops=1 at any dop — while replays and the spool's own
+// build/hit tallies are recorded on the root node's NodeStats. Build
+// cost is charged per row against MaxPartitionBytes: the spool is a
+// materialization, the same budget dimension as GApply's partitions.
+type bspool struct {
+	inner BatchIterator
 	node  core.Node
 	h     *spoolHolder
 	ctx   *Context
 
 	st  *spoolState // pinned at Open
-	pos int
+	win rowWindow
 }
 
-func (s *spool) Open() error {
+func (s *bspool) Open() error {
 	st := s.h.state
 	built := false
 	st.once.Do(func() {
 		built = true
 		st.gen = spoolGen.Add(1)
+		// A panic in materialize still completes the Once; the GApply
+		// worker that recovers it reports the panic, and this error makes
+		// every other tree's Open fail instead of replaying no rows.
+		st.err = errSpoolPanicked
 		st.rows, st.bytes, st.err = s.materialize()
 	})
 	if built {
@@ -127,7 +138,8 @@ func (s *spool) Open() error {
 	if st.err != nil {
 		return st.err
 	}
-	s.st, s.pos = st, 0
+	s.st = st
+	s.win.reset(st.rows)
 	return nil
 }
 
@@ -136,32 +148,36 @@ func (s *spool) Open() error {
 // memory. Rows are stored as produced (no clone): everything upstream of
 // a spool is group-independent, so the rows cannot be invalidated by a
 // later binding change within this materialization's lifetime.
-func (s *spool) materialize() ([]types.Row, int64, error) {
+func (s *bspool) materialize() ([]types.Row, int64, error) {
 	if err := s.inner.Open(); err != nil {
 		return nil, 0, err
 	}
 	var rows []types.Row
 	var bytes int64
 	for {
-		if err := s.ctx.tick(); err != nil {
-			s.inner.Close()
-			return nil, bytes, err
-		}
-		r, ok, err := s.inner.Next()
+		b, err := s.inner.NextBatch()
 		if err != nil {
 			s.inner.Close()
 			return nil, bytes, err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		n := int64(r.Bytes())
-		if err := s.ctx.Budget.chargePartition(n, "Spool: "+core.Summary(s.node)); err != nil {
+		bn := b.Len()
+		if err := s.ctx.tickN(bn); err != nil {
 			s.inner.Close()
 			return nil, bytes, err
 		}
-		bytes += n
-		rows = append(rows, r)
+		for i := 0; i < bn; i++ {
+			r := b.Row(i)
+			n := int64(r.Bytes())
+			if err := s.ctx.Budget.chargePartition(n, "Spool: "+core.Summary(s.node)); err != nil {
+				s.inner.Close()
+				return nil, bytes, err
+			}
+			bytes += n
+			rows = append(rows, r)
+		}
 	}
 	if err := s.inner.Close(); err != nil {
 		return nil, bytes, err
@@ -169,29 +185,26 @@ func (s *spool) materialize() ([]types.Row, int64, error) {
 	return rows, bytes, nil
 }
 
-func (s *spool) Next() (types.Row, bool, error) {
-	if err := s.ctx.tick(); err != nil {
-		return nil, false, err
+func (s *bspool) NextBatch() (*Batch, error) {
+	b := s.win.next()
+	if b == nil {
+		return nil, nil
 	}
-	if s.st == nil || s.pos >= len(s.st.rows) {
-		return nil, false, nil
+	if err := s.ctx.tickN(b.Len()); err != nil {
+		return nil, err
 	}
-	r := s.st.rows[s.pos]
-	s.pos++
-	return r, true, nil
+	return b, nil
 }
 
-// Close releases nothing: the materialization belongs to the holder (it
-// outlives this iterator's open/close cycles by design), and the inner
-// tree was already closed by the build.
-func (s *spool) Close() error {
-	s.pos = 0
+// Close releases nothing: the materialization belongs to the holder.
+func (s *bspool) Close() error {
+	s.win.pos = 0
 	return nil
 }
 
 // contentGen implements contentVersioned: the generation of the pinned
 // materialization.
-func (s *spool) contentGen() (uint64, bool) {
+func (s *bspool) contentGen() (uint64, bool) {
 	if s.st == nil {
 		return 0, false
 	}

@@ -436,19 +436,34 @@ func arith(a, b Value, op byte) (Value, error) {
 		return Null, fmt.Errorf("types: cannot apply %c to %s and %s", op, a.K, b.K)
 	}
 	if a.K == KindInt && b.K == KindInt {
+		x, y := a.I, b.I
+		var r int64
+		overflow := false
 		switch op {
 		case '+':
-			return NewInt(a.I + b.I), nil
+			r = x + y
+			overflow = (x^r)&(y^r) < 0 // both operands' signs differ from the sum's
 		case '-':
-			return NewInt(a.I - b.I), nil
+			r = x - y
+			overflow = (x^y)&(x^r) < 0 // operands' signs differ and the result's differs from x
 		case '*':
-			return NewInt(a.I * b.I), nil
+			r = x * y
+			overflow = x != 0 && (r/x != y || (x == -1 && y == math.MinInt64))
 		case '/':
-			if b.I == 0 {
+			if y == 0 {
 				return Null, fmt.Errorf("types: division by zero")
 			}
-			return NewInt(a.I / b.I), nil
+			overflow = x == math.MinInt64 && y == -1
+			if !overflow {
+				r = x / y
+			}
+		default:
+			return Null, fmt.Errorf("types: unknown operator %c", op)
 		}
+		if overflow {
+			return Null, fmt.Errorf("types: integer overflow: %d %c %d", x, op, y)
+		}
+		return NewInt(r), nil
 	}
 	af, bf := a.Float(), b.Float()
 	switch op {

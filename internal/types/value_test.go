@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,55 @@ func TestArithmetic(t *testing.T) {
 	}
 	if _, err := Add(NewString("a"), NewInt(1)); err == nil {
 		t.Error("string arithmetic must error")
+	}
+}
+
+// TestIntegerOverflow: int64 arithmetic whose exact result does not fit
+// in an int64 is an error, never a silently wrapped value; results at
+// the very edge of the range are still exact.
+func TestIntegerOverflow(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	ops := map[byte]func(a, b Value) (Value, error){'+': Add, '-': Sub, '*': Mul, '/': Div}
+	cases := []struct {
+		a  int64
+		op byte
+		b  int64
+		// want is the exact result; ignored when overflow is set.
+		want     int64
+		overflow bool
+	}{
+		{maxI, '+', 1, 0, true},
+		{minI, '+', -1, 0, true},
+		{maxI, '+', minI, -1, false},
+		{maxI - 1, '+', 1, maxI, false},
+		{minI, '-', 1, 0, true},
+		{maxI, '-', -1, 0, true},
+		{0, '-', minI, 0, true},
+		{-1, '-', maxI, minI, false},
+		{4611686018427387904, '*', 4, 0, true}, // 2^62 * 4
+		{4611686018427387904, '*', 2, 0, true}, // 2^63
+		{-4611686018427387904, '*', 2, minI, false},
+		{-1, '*', minI, 0, true},
+		{minI, '*', -1, 0, true},
+		{3037000500, '*', 3037000500, 0, true},
+		{3037000499, '*', 3037000499, 9223372030926249001, false},
+		{maxI, '*', -1, -maxI, false},
+		{0, '*', minI, 0, false},
+		{minI, '/', -1, 0, true},
+		{minI, '/', 1, minI, false},
+		{maxI, '/', -1, -maxI, false},
+	}
+	for _, c := range cases {
+		got, err := ops[c.op](NewInt(c.a), NewInt(c.b))
+		if c.overflow {
+			if err == nil || !strings.Contains(err.Error(), "overflow") {
+				t.Errorf("%d %c %d = %v, %v; want an overflow error", c.a, c.op, c.b, got, err)
+			}
+			continue
+		}
+		if err != nil || got.K != KindInt || got.I != c.want {
+			t.Errorf("%d %c %d = %v, %v; want %d", c.a, c.op, c.b, got, err, c.want)
+		}
 	}
 }
 

@@ -95,9 +95,9 @@ func RunLocal(ctx context.Context, db *gapplydb.Database, q *Query, dop int) (*O
 }
 
 // RunLocalOpts is RunLocal with extra query options appended after the
-// corpus-derived ones. The row-vs-batch engine differential uses it to
-// pin the execution engine (gapplydb.WithRowExecution) while keeping
-// the corpus's own DOP/timeout/budget semantics intact.
+// corpus-derived ones. The order differential uses it to plan with
+// gapplydb.WithoutIndexes while keeping the corpus's own
+// DOP/timeout/budget semantics intact.
 func RunLocalOpts(ctx context.Context, db *gapplydb.Database, q *Query, dop int, extra ...gapplydb.QueryOption) (*Outcome, error) {
 	if q.CancelAfterRows > 0 {
 		return nil, fmt.Errorf("replay: %s: cancel-after-rows queries only run remotely", q.Name)
