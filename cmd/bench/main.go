@@ -1,36 +1,23 @@
 // Command bench regenerates the paper's evaluation: Figure 8 (speedup
 // of Q1–Q4 with GApply over the sorted-outer-union / flat-SQL plans),
 // Table 1 (effect of each transformation rule), and the §5.1.1
-// client-side-simulation comparison.
+// client-side-simulation comparison, plus the spool, plan-cache and
+// ordered-index tables.
 //
 // Usage:
 //
-//	bench [-sf 0.01] [-repeats 3] [-experiment all|figure8|table1|clientsim|spool|plancache]
+//	bench [-sf 0.01] [-repeats 3] [-experiment all|figure8|table1|clientsim|spool|plancache|order|none]
 //	bench -json out.json     # also write the benchmark artifact: spool and
 //	                         # plan-cache measurements plus per-query
 //	                         # observability records (plan hash, rule trace,
 //	                         # analyzed plan, stats)
-//	bench -remote host:7744  # differential smoke against a running gapplyd:
-//	                         # execute the whole suite in-process and over the
-//	                         # wire (rows and published XML, dop 1 and 8) and
-//	                         # fail on any byte-level divergence
-//	bench -remote host:7744 -soak 50   # …then a 50-client concurrency soak,
-//	                         # every successful result verified, admission
-//	                         # fast-rejections tolerated and counted
-//	bench -replay testdata/corpus -remote host:7744 \
-//	      -rate 100 -duration 30s    # replay the golden corpus: sequential
-//	                         # conformance (goldens, error taxonomy, spool and
-//	                         # plan-cache counters at every matrix dop), then a
-//	                         # mixed open-loop workload; report → BENCH_6.json
-//	bench -replay testdata/corpus -update   # regenerate the corpus goldens
-//	                         # from an embedded database (deterministic: a
-//	                         # second pass is a no-op)
-//	bench -shards 3 -replay testdata/corpus -json BENCH_10.json
-//	                         # boot an in-process 3-shard cluster (workers +
-//	                         # coordinator + single-node reference), prove the
-//	                         # sharded results byte-identical over the full
-//	                         # evaluation workload and the corpus, then write
-//	                         # the single-node vs sharded latency comparison
+//	bench -experiment none -order BENCH_9.json -order-baseline testdata/order_baseline.json
+//	                         # ordered-index comparison; exits non-zero if a
+//	                         # speedup falls below its checked-in floor
+//
+// The wire-level checks (remote and sharded differentials, the corpus
+// conformance pass, the client soak) are go tests; the serve and
+// sharded latency numbers come from perfbench.
 package main
 
 import (
@@ -53,58 +40,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write per-query JSON reports (plan hash, trace, operator timings) to this file")
 	orderPath := flag.String("order", "", "measure ordered-index plans against WithoutIndexes at dop 1 and write the comparison artifact (e.g. BENCH_9.json) to this file")
 	orderBaseline := flag.String("order-baseline", "", "with -order: JSON file of per-query minimum speedups; exit non-zero if any measured speedup falls below its floor")
-	remote := flag.String("remote", "", "differential smoke against a gapplyd server at host:port: run the whole suite in-process and over the wire, fail on any byte difference")
-	soak := flag.Int("soak", 0, "with -remote: follow the differential with a concurrency soak of this many clients hammering the server at once")
-	replayDir := flag.String("replay", "", "replay the golden corpus in this directory against -remote (conformance + mixed load), or with -update regenerate its goldens")
-	update := flag.Bool("update", false, "with -replay: regenerate the corpus goldens from an embedded database")
-	mode := flag.String("mode", "open", "with -replay: load-phase arrival discipline, open (Poisson at -rate) | closed (-clients workers back-to-back)")
-	rate := flag.Float64("rate", 50, "with -replay: open-loop arrival rate, queries/second")
-	clients := flag.Int("clients", 8, "with -replay: client connections (open) or workers (closed)")
-	duration := flag.Duration("duration", 0, "with -replay: load-phase duration (0 = conformance only)")
-	seed := flag.Int64("seed", 1, "with -replay: workload mix seed")
-	metricsURL := flag.String("metrics-http", "", "with -replay: the server's /metrics URL; enables the admission-counter assertions")
-	traceOn := flag.Bool("trace", false, "with -replay: run conformance with a client-issued trace ID per query and assert the server echoes it")
-	tracesURL := flag.String("traces-http", "", "with -replay -trace: the server's /debug/traces URL; the slowest conformance trace's Chrome export lands in the report")
-	traceJSON := flag.String("trace-json", "", "with -replay -trace: also write the slowest trace's Chrome JSON to this file (e.g. TRACE_7.json)")
-	shardsN := flag.Int("shards", 0, "boot an in-process cluster of this many worker shards plus a coordinator, verify it byte-identical against single-node, and measure both; -json writes the comparison artifact (e.g. BENCH_10.json), -replay adds a corpus conformance subset")
 	flag.Parse()
-
-	if *shardsN > 0 {
-		err := runShards(shardsFlags{
-			shards: *shardsN, sf: *sf, repeats: *repeats,
-			corpus: *replayDir, jsonPath: *jsonPath,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *replayDir != "" {
-		err := runReplay(replayFlags{
-			corpus: *replayDir, remote: *remote, update: *update,
-			mode: *mode, rate: *rate, clients: *clients, duration: *duration,
-			seed: *seed, metricsURL: *metricsURL, jsonPath: *jsonPath,
-			trace: *traceOn, tracesURL: *tracesURL, traceJSON: *traceJSON,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *remote != "" {
-		// The server must hold TPC-H at the same -sf (generation is
-		// deterministic, so equal scale factors mean equal data).
-		dops := []int{1, *dop}
-		if *dop <= 1 {
-			dops = []int{1, 8}
-		}
-		if err := runRemote(*remote, *sf, dops, *soak); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	experiments.Repeats = *repeats
 	experiments.DOP = *dop

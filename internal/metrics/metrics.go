@@ -48,8 +48,8 @@ var DefaultLatencyBuckets = []time.Duration{
 }
 
 // FineLatencyBuckets is a 1-2-5 grid from 50µs to 10s — the resolution
-// latency percentiles need. The workload-replay driver records against
-// these; the engine's always-on histograms keep the cheaper decades.
+// latency percentiles need, for histograms made with HistogramWith; the
+// engine's always-on histograms keep the cheaper decades.
 var FineLatencyBuckets = []time.Duration{
 	50 * time.Microsecond,
 	100 * time.Microsecond,

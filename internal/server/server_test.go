@@ -134,22 +134,30 @@ func fetchAll(t *testing.T, rows *client.Rows) [][]any {
 // representations Result.Rows uses, so equality must be exact.
 func requireSameRows(t *testing.T, name string, local *gapplydb.Result, cols []string, remote [][]any) {
 	t.Helper()
+	if err := sameRows(local, cols, remote); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// sameRows is requireSameRows' comparison, usable off the test goroutine.
+func sameRows(local *gapplydb.Result, cols []string, remote [][]any) error {
 	if strings.Join(local.Columns, ",") != strings.Join(cols, ",") {
-		t.Fatalf("%s: columns differ: local %v remote %v", name, local.Columns, cols)
+		return fmt.Errorf("columns differ: local %v remote %v", local.Columns, cols)
 	}
 	if len(local.Rows) != len(remote) {
-		t.Fatalf("%s: row counts differ: local %d remote %d", name, len(local.Rows), len(remote))
+		return fmt.Errorf("row counts differ: local %d remote %d", len(local.Rows), len(remote))
 	}
 	for i := range local.Rows {
 		if len(local.Rows[i]) != len(remote[i]) {
-			t.Fatalf("%s: row %d widths differ", name, i)
+			return fmt.Errorf("row %d widths differ", i)
 		}
 		for j := range local.Rows[i] {
 			if local.Rows[i][j] != remote[i][j] {
-				t.Fatalf("%s: row %d col %d: local %#v remote %#v", name, i, j, local.Rows[i][j], remote[i][j])
+				return fmt.Errorf("row %d col %d: local %#v remote %#v", i, j, local.Rows[i][j], remote[i][j])
 			}
 		}
 	}
+	return nil
 }
 
 // TestRemoteDifferentialSuite is the acceptance gate: every statement
@@ -209,6 +217,113 @@ func TestRemoteDifferentialSuite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRemoteSoak hammers a deliberately small server with 50 clients
+// at once, each issuing 10 statements from a rotating mix. Admission
+// sheds the excess as busy fast-rejections, which the clients retry with
+// backoff; every successful result must match the in-process reference
+// exactly, the server's rejected counter must account for every busy
+// answer, and nothing may leak a goroutine.
+func TestRemoteSoak(t *testing.T) {
+	const (
+		clients = 50
+		iters   = 10
+	)
+	db := testDB(t)
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { waitNoExtraGoroutines(t, base) })
+	srv := startServer(t, Config{MaxConcurrent: 2})
+
+	ctx := context.Background()
+	suite := experiments.SuiteQueries()[:4] // the soak is about concurrency, not coverage
+	refs := make([]*gapplydb.Result, len(suite))
+	for i, q := range suite {
+		ref, err := db.QueryContext(ctx, q.SQL)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", q.Name, err)
+		}
+		refs[i] = ref
+	}
+
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		verified int
+		busy     int64
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			conn, err := client.Dial(srv.Addr().String())
+			if err != nil {
+				t.Errorf("client %d: dial: %v", c, err)
+				return
+			}
+			defer conn.Close()
+			for it := 0; it < iters; it++ {
+				qi := (c + it) % len(suite)
+				var rows *client.Rows
+				for attempt := 0; ; attempt++ {
+					rows, err = conn.Query(ctx, suite[qi].SQL)
+					var se *client.ServerError
+					if err != nil && errors.As(err, &se) && se.Code == client.CodeBusy && attempt < 1000 {
+						// Shed by admission: back off (harder as contention
+						// persists, staggered by client) and retry.
+						mu.Lock()
+						busy++
+						mu.Unlock()
+						backoff := time.Duration(5+attempt) * time.Millisecond
+						if max := time.Duration(50+c) * time.Millisecond; backoff > max {
+							backoff = max
+						}
+						time.Sleep(backoff)
+						continue
+					}
+					break
+				}
+				if err != nil {
+					t.Errorf("client %d: %s: %v", c, suite[qi].Name, err)
+					return
+				}
+				var got [][]any
+				for {
+					row, ok, err := rows.Next()
+					if err != nil {
+						t.Errorf("client %d: %s: stream: %v", c, suite[qi].Name, err)
+						return
+					}
+					if !ok {
+						break
+					}
+					got = append(got, row)
+				}
+				if err := sameRows(refs[qi], rows.Columns, got); err != nil {
+					t.Errorf("client %d: %s: %v", c, suite[qi].Name, err)
+					return
+				}
+				mu.Lock()
+				verified++
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if verified != clients*iters {
+		t.Fatalf("verified %d statements, want %d", verified, clients*iters)
+	}
+	if busy == 0 {
+		t.Fatal("50 clients against 2 slots saw no busy answers: admission shed nothing")
+	}
+	snap := srv.Metrics()
+	if got := snap.Counters["server_queries_rejected"]; got != busy {
+		t.Fatalf("server_queries_rejected = %d, clients saw %d busy answers", got, busy)
+	}
+	t.Logf("soak: %d statements verified, %d busy-rejected and retried", verified, busy)
 }
 
 // TestSessionOptions: session-scoped defaults apply to subsequent
@@ -353,6 +468,23 @@ func waitCounter(t *testing.T, srv *Server, name string, want int64) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("counter %s never reached %d", name, want)
+}
+
+// waitSettled polls until no query holds an admission slot or counts in
+// server_queries_active. A query's terminal frame goes out before its
+// goroutine's deferred releases run, so a client can see the answer a
+// moment before the server has settled.
+func waitSettled(t *testing.T, srv *Server) {
+	t.Helper()
+	var active int64
+	var held int
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		active, held = srv.Metrics().Counters["server_queries_active"], len(srv.adm.slots)
+		if active == 0 && held == 0 {
+			return
+		}
+	}
+	t.Fatalf("server_queries_active = %d, %d admission slots held; want both 0", active, held)
 }
 
 // TestGracefulShutdownDrains: Shutdown lets a running query finish (here

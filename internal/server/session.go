@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -300,15 +301,44 @@ func (s *session) startQuery(m *wire.QueryMsg) {
 	s.mu.Unlock()
 
 	go func() {
+		tb := s.traceBuilder(m) // nil for untraced; all span calls no-op
+		var stream RowStream    // set by runQuery; closed here, after a panic is recorded
 		defer func() {
+			if r := recover(); r != nil {
+				s.queryPanicked(m, tb, r)
+			}
+			if stream != nil {
+				stream.Close()
+			}
 			s.mu.Lock()
 			delete(s.inflight, m.ID)
 			s.mu.Unlock()
 			cancel()
 			s.wgQ.Done()
 		}()
-		s.runQuery(qctx, m)
+		s.runQuery(qctx, m, tb, &stream)
 	}()
+}
+
+// queryPanicked contains a panic in one query's goroutine: the query
+// fails alone with an internal error frame, and its trace (one is
+// opened if the query was untraced) lands in the flight recorder with
+// the panic value and stack as its error. runQuery's own defers have
+// already released the admission slot and the active-query gauge; the
+// caller closes the stream afterwards, so the engine cannot seal the
+// trace as a success first.
+func (s *session) queryPanicked(m *wire.QueryMsg, tb *trace.Builder, r any) {
+	stack := debug.Stack()
+	if tb == nil {
+		tb = trace.NewBuilder(trace.NewID(), m.SQL)
+	}
+	msg := fmt.Sprintf("panic: %v", r)
+	s.srv.logf("session %s: query %d: %s\n%s", s.conn.RemoteAddr(), m.ID, msg, stack)
+	// Record before answering, so the trace is retrievable by the time
+	// the client sees the error.
+	s.srv.db.Traces().Record(tb.Finish("error", msg+"\n"+string(stack)))
+	s.srv.reg.Counter("server_query_errors").Inc()
+	s.writeErrorTraced(m.ID, wire.CodeInternal, msg, tb.ID())
 }
 
 func (s *session) sessionDraining() bool {
@@ -450,9 +480,9 @@ func (s *session) traceBuilder(m *wire.QueryMsg) *trace.Builder {
 
 // runQuery executes one admitted submission end to end: global
 // admission, engine stream, row-batch or XML streaming, completion or
-// error frame. It owns the query's admission slot.
-func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
-	tb := s.traceBuilder(m) // nil for untraced; all span calls no-op
+// error frame. It owns the query's admission slot; the stream it opens
+// is handed back through *stream for the caller to close.
+func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg, tb *trace.Builder, stream *RowStream) {
 	tid := tb.ID()
 	admSpan := tb.StartSpan("admission", 0)
 	if err := s.srv.adm.acquire(ctx); err != nil {
@@ -498,16 +528,14 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 			return
 		}
 		if handled {
-			defer ds.Close()
-			if tb != nil {
-				tb.SetQuery(query)
-				defer func() { s.srv.db.Traces().Record(tb.Finish("ok", "")) }()
-			}
+			*stream = ds
+			tb.SetQuery(query)
 			if m.Opts.XML {
 				s.streamXML(m.ID, ds, m.Opts.TagPlan, tid)
-				return
+			} else {
+				s.streamRows(m.ID, ds, tid)
 			}
-			s.streamRows(m.ID, ds, tid)
+			s.srv.db.Traces().Record(tb.Finish("ok", ""))
 			return
 		}
 	}
@@ -517,19 +545,19 @@ func (s *session) runQuery(ctx context.Context, m *wire.QueryMsg) {
 		tb.SetQuery(query) // session explain mode may have prefixed it
 		opts = append(opts, gapplydb.WithTraceBuilder(tb))
 	}
-	stream, err := s.srv.db.StreamContext(ctx, query, opts...)
+	es, err := s.srv.db.StreamContext(ctx, query, opts...)
 	if err != nil {
 		s.srv.reg.Counter("server_query_errors").Inc()
 		s.writeErrorTraced(m.ID, errorCode(err), err.Error(), tid)
 		return
 	}
-	defer stream.Close()
+	*stream = engineStream{es}
 
 	if m.Opts.XML {
-		s.streamXML(m.ID, engineStream{stream}, m.Opts.TagPlan, tid)
+		s.streamXML(m.ID, *stream, m.Opts.TagPlan, tid)
 		return
 	}
-	s.streamRows(m.ID, engineStream{stream}, tid)
+	s.streamRows(m.ID, *stream, tid)
 }
 
 // streamRows sends the header, then row batches, then End (or Error).
