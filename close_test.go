@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gapplydb/internal/types"
 )
 
 // Database.Close battery: Close rejects new work with ErrDatabaseClosed,
@@ -155,5 +157,62 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	wg.Wait()
 	if err := db.Close(); err != nil {
 		t.Fatalf("close after close: %v", err)
+	}
+}
+
+// TestStartPanicReleasesDatabase: a panic inside the engine — here
+// over a row shorter than its schema, smuggled past Table.Append's arity
+// check — propagates to the caller (the server session recovers it),
+// but the statement's in-flight registration is still released, so
+// Database.Close returns. The sort panics inside exec.Start, which Query
+// and Stream share; the projection panics mid-drain, where Query
+// releases by itself and a Stream's caller closes it, as the server
+// session does.
+func TestStartPanicReleasesDatabase(t *testing.T) {
+	for _, tc := range []struct{ name, query string }{
+		{"start", "select a, b from t order by b"},
+		{"drain", "select b + 1 from t"},
+	} {
+		for _, via := range []string{"Query", "Stream"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				db := Open()
+				if err := db.CreateTable("t", []Column{{"a", "int"}, {"b", "int"}}, nil); err != nil {
+					t.Fatal(err)
+				}
+				tab, err := db.cat.Lookup("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab.Rows = append(tab.Rows, types.Row{types.NewInt(1)})
+				var s *Stream
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("the malformed row did not panic")
+						}
+					}()
+					if via == "Query" {
+						db.Query(tc.query)
+						return
+					}
+					if s, err = db.Stream(tc.query); err == nil {
+						s.Next()
+					}
+				}()
+				if s != nil {
+					s.Close()
+				}
+				closed := make(chan struct{})
+				go func() {
+					db.Close()
+					close(closed)
+				}()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Database.Close hung: the panicked statement kept its in-flight registration")
+				}
+			})
+		}
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 		[]any{3, "washer", 0.25}, []any{4, "flange", 12.00}))
 	check(db.Insert("partsupp",
 		[]any{1, 1}, []any{2, 1}, []any{3, 1}, // Acme: bolt, nut, washer
-		[]any{3, 2}, []any{4, 2}))             // Bolt Bazaar: washer, flange
+		[]any{3, 2}, []any{4, 2})) // Bolt Bazaar: washer, flange
 	db.RefreshStats() // give the optimizer fresh cardinalities
 
 	// The paper's Q2: for each supplier, how many of its parts cost at

@@ -52,10 +52,8 @@ type Database struct {
 	opt   *opt.Optimizer
 	reg   *metrics.Registry
 	plans *planCache
-	// traces is the flight recorder completed traced queries land in;
-	// sampler drives WithTraceSampling decisions (see tracing.go).
-	traces  *trace.Recorder
-	sampler *trace.Sampler
+	// traces is the flight recorder completed traced queries land in.
+	traces *trace.Recorder
 	// statsEpoch counts RefreshStats calls: plans compiled under old
 	// statistics may no longer be the ones the optimizer would pick, so
 	// the plan-cache key includes the epoch.
@@ -77,8 +75,7 @@ type Database struct {
 func newDatabase() *Database {
 	db := &Database{
 		cat: storage.NewCatalog(), reg: metrics.NewRegistry(), plans: newPlanCache(),
-		traces:  trace.NewRecorder(defaultTraceRecent, defaultTraceSlowest),
-		sampler: trace.NewSampler(time.Now().UnixNano()),
+		traces: trace.NewRecorder(defaultTraceRecent, defaultTraceSlowest),
 	}
 	db.closeCtx, db.closeCancel = context.WithCancel(context.Background())
 	return db
@@ -232,13 +229,18 @@ func (db *Database) acquire() (release func(), err error) {
 
 // lifecycleContext derives the execution context every query runs
 // under: the caller's ctx, additionally cancelled when the database
-// closes. The returned stop releases the linkage and must always be
-// called.
-func (db *Database) lifecycleContext(ctx context.Context) (context.Context, context.CancelFunc) {
+// closes and, for a positive timeout, when the timeout passes. The
+// returned stop releases the linkage and must always be called.
+func (db *Database) lifecycleContext(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	var cancel context.CancelFunc
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
 	unlink := context.AfterFunc(db.closeCtx, cancel)
 	return ctx, func() { unlink(); cancel() }
 }
@@ -374,7 +376,6 @@ type QueryOption func(*queryConfig)
 type queryConfig struct {
 	optOpts      opt.Options
 	dop          int
-	instrument   bool
 	budget       Budget
 	noPlanCache  bool
 	noSpool      bool
@@ -385,7 +386,6 @@ type queryConfig struct {
 	// the engine so admission wait is a span) or created by traceSetup.
 	traceID      trace.ID
 	forceTrace   bool
-	traceProb    float64
 	traceBuilder *trace.Builder
 }
 
@@ -436,15 +436,6 @@ type ResourceError struct {
 func (e *ResourceError) Error() string {
 	return fmt.Sprintf("gapplydb: resource budget exceeded: %s = %d (limit %d) at %s",
 		e.Limit, e.Used, e.Max, e.Operator)
-}
-
-// WithInstrumentation turns on per-operator profiling for the query:
-// every plan node records its actual row count, loop count (Opens) and
-// inclusive wall time, which ExplainAnalyze renders and Result exposes.
-// Without this option (and outside EXPLAIN ANALYZE) execution carries no
-// probes at all, so the default path pays nothing for the feature.
-func WithInstrumentation() QueryOption {
-	return func(c *queryConfig) { c.instrument = true }
 }
 
 // WithoutPlanCache compiles the statement from scratch, neither reading
@@ -540,7 +531,6 @@ type Result struct {
 
 	inner *exec.Result
 	text  string // rendered explanation, for EXPLAIN statements
-	prof  *exec.Profile
 }
 
 // ExecStats mirrors the executor's work counters.
@@ -589,36 +579,18 @@ func (db *Database) Query(query string, options ...QueryOption) (*Result, error)
 // row batch, returning context.Canceled or context.DeadlineExceeded.
 // Any Budget timeout set via options composes with ctx's own deadline.
 func (db *Database) QueryContext(ctx context.Context, query string, options ...QueryOption) (*Result, error) {
-	release, err := db.acquire()
+	s, err := db.start(ctx, query, options, sql.ExplainNone)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	cfg := makeConfig(options)
-	tb := db.traceSetup(&cfg, query)
-	c, hit, err := db.compile(query, cfg)
+	if s.mode == sql.ExplainNone {
+		return s.result()
+	}
+	e, err := s.explanation()
 	if err != nil {
-		db.finishTrace(tb, err)
 		return nil, err
 	}
-	cfg.planCacheHit = hit
-	switch c.mode {
-	case sql.ExplainAnalyze:
-		e, err := db.explainCompiled(ctx, c, cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		return e.planResult(), nil
-	case sql.ExplainPlan:
-		e, err := db.explainCompiled(ctx, c, cfg, false)
-		if err != nil {
-			db.finishTrace(tb, err)
-			return nil, err
-		}
-		db.finishTrace(tb, nil)
-		return e.planResult(), nil
-	}
-	return db.execute(ctx, c, cfg)
+	return e.planResult(), nil
 }
 
 func makeConfig(options []QueryOption) queryConfig {
@@ -726,43 +698,6 @@ func (db *Database) compile(query string, cfg queryConfig) (*compiled, bool, err
 	return c, false, nil
 }
 
-// execute runs an optimized plan under the caller's context and budget.
-func (db *Database) execute(ctx context.Context, c *compiled, cfg queryConfig) (*Result, error) {
-	ctx, stop := db.lifecycleContext(ctx)
-	defer stop()
-	if cfg.budget.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.budget.Timeout)
-		defer cancel()
-	}
-	ectx := db.execContext(ctx, cfg)
-	tb := cfg.traceBuilder
-	execSpan := tb.StartSpan("execute", 0)
-	start := time.Now()
-	res, err := exec.Run(c.plan, ectx)
-	elapsed := time.Since(start)
-	tb.EndSpan(execSpan)
-	db.reg.Counter("queries").Inc()
-	db.reg.Histogram("execute_latency").Observe(elapsed)
-	if err != nil {
-		err = db.classifyExecError(err)
-		attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-		db.finishTrace(tb, err)
-		return nil, err
-	}
-	db.recordExecMetrics(ectx.Counters)
-	attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-	db.finishTrace(tb, nil)
-
-	out := newResult(res)
-	out.Elapsed = elapsed
-	out.Stats = statsOf(ectx.Counters)
-	out.Trace = toTrace(c.trace)
-	out.TraceID = tb.ID()
-	out.prof = ectx.Prof
-	return out, nil
-}
-
 // newResult converts an executor result into the public Result's
 // columns and Go-typed rows.
 func newResult(res *exec.Result) *Result {
@@ -785,7 +720,7 @@ func newResult(res *exec.Result) *Result {
 }
 
 // execContext builds the executor context one configured query runs
-// under (shared by the materializing and streaming paths).
+// under.
 func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Context {
 	ectx := exec.NewContext(db.cat)
 	ectx.DOP = cfg.dop
@@ -793,9 +728,6 @@ func (db *Database) execContext(ctx context.Context, cfg queryConfig) *exec.Cont
 	ectx.NoSpool = cfg.noSpool
 	if cfg.planCacheHit {
 		ectx.Counters.PlanCacheHits = 1
-	}
-	if cfg.instrument {
-		ectx.Prof = exec.NewProfile()
 	}
 	if cfg.budget.MaxOutputRows > 0 || cfg.budget.MaxPartitionBytes > 0 {
 		ectx.Budget = &exec.Budget{

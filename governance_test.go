@@ -3,6 +3,7 @@ package gapplydb
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +95,63 @@ func TestQueryBudgetOutputRows(t *testing.T) {
 	// Within budget, the query succeeds.
 	if _, err := db.Query("select p_name from part", WithBudget(Budget{MaxOutputRows: 10})); err != nil {
 		t.Fatalf("roomy budget: %v", err)
+	}
+}
+
+// TestStreamBudgetOutputRows: a stream charges MaxOutputRows per
+// delivered row whichever way it is consumed — Next, NextBatch, or the
+// two mixed — delivering exactly Query's first rows, then the same
+// *ResourceError Query reports.
+func TestStreamBudgetOutputRows(t *testing.T) {
+	db := fixture(t)
+	const q = "select p_partkey, p_name from part"
+	full, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Rows) <= 3 {
+		t.Fatalf("fixture has %d parts, need more than the budget of 3", len(full.Rows))
+	}
+	type step func(*Stream) ([][]any, bool, error)
+	next := func(s *Stream) ([][]any, bool, error) {
+		r, ok, err := s.Next()
+		return [][]any{r}, ok, err
+	}
+	batch := func(s *Stream) ([][]any, bool, error) { return s.NextBatch() }
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"next", []step{next}},
+		{"batch", []step{batch}},
+		{"mixed", []step{next, batch}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := db.Stream(q, WithBudget(Budget{MaxOutputRows: 3}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var got [][]any
+			for i := 0; ; i++ {
+				rows, ok, serr := tc.steps[i%len(tc.steps)](s)
+				if !ok {
+					err = serr
+					break
+				}
+				got = append(got, rows...)
+			}
+			if !reflect.DeepEqual(got, full.Rows[:3]) {
+				t.Fatalf("delivered %v, want Query's first 3 rows %v", got, full.Rows[:3])
+			}
+			var re *ResourceError
+			if !errors.As(err, &re) || re.Limit != "max-output-rows" || re.Used != 4 {
+				t.Fatalf("err = %v, want *ResourceError{max-output-rows, Used: 4}", err)
+			}
+			if cerr := s.Close(); cerr != err {
+				t.Fatalf("Close() = %v, want the stream's error %v", cerr, err)
+			}
+		})
 	}
 }
 

@@ -38,8 +38,8 @@ func (s *Scan) Schema() *schema.Schema {
 	}
 	return s.Def.Schema
 }
-func (s *Scan) Children() []Node          { return nil }
-func (s *Scan) WithChildren([]Node) Node  { c := *s; return &c }
+func (s *Scan) Children() []Node         { return nil }
+func (s *Scan) WithChildren([]Node) Node { c := *s; return &c }
 func (s *Scan) Describe() string {
 	if s.Alias != "" && s.Alias != s.Table {
 		return "Scan " + s.Table + " AS " + s.Alias
@@ -119,10 +119,10 @@ type GroupScan struct {
 	Sch *schema.Schema
 }
 
-func (g *GroupScan) Schema() *schema.Schema  { return g.Sch }
-func (g *GroupScan) Children() []Node        { return nil }
+func (g *GroupScan) Schema() *schema.Schema   { return g.Sch }
+func (g *GroupScan) Children() []Node         { return nil }
 func (g *GroupScan) WithChildren([]Node) Node { c := *g; return &c }
-func (g *GroupScan) Describe() string        { return "GroupScan $" + g.Var }
+func (g *GroupScan) Describe() string         { return "GroupScan $" + g.Var }
 
 // -------------------------------------------------------------- Select
 

@@ -9,6 +9,7 @@ import (
 	"gapplydb/internal/core"
 	"gapplydb/internal/exec"
 	"gapplydb/internal/opt"
+	"gapplydb/internal/sql"
 	"gapplydb/internal/stats"
 )
 
@@ -134,18 +135,7 @@ func (e *Explanation) planResult() *Result {
 // without executing it. The query may, but need not, carry an EXPLAIN
 // prefix.
 func (db *Database) ExplainPlan(query string, options ...QueryOption) (*Explanation, error) {
-	release, err := db.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	cfg := makeConfig(options)
-	c, hit, err := db.compile(query, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg.planCacheHit = hit
-	return db.explainCompiled(context.Background(), c, cfg, false)
+	return db.explain(context.Background(), query, options, sql.ExplainPlan)
 }
 
 // ExplainAnalyze compiles AND executes the statement with per-operator
@@ -160,40 +150,32 @@ func (db *Database) ExplainAnalyze(query string, options ...QueryOption) (*Expla
 // context: the instrumented execution obeys the same cancellation,
 // deadline and budget rules as QueryContext.
 func (db *Database) ExplainAnalyzeContext(ctx context.Context, query string, options ...QueryOption) (*Explanation, error) {
-	release, err := db.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	cfg := makeConfig(options)
-	tb := db.traceSetup(&cfg, query)
-	c, hit, err := db.compile(query, cfg)
-	if err != nil {
-		db.finishTrace(tb, err)
-		return nil, err
-	}
-	cfg.planCacheHit = hit
-	// The analyzed execution finishes and records the trace.
-	return db.explainCompiled(ctx, c, cfg, true)
+	return db.explain(ctx, query, options, sql.ExplainAnalyze)
 }
 
-// explainCompiled builds the report for an already-compiled statement,
-// executing it first when analyze is set.
-func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryConfig, analyze bool) (*Explanation, error) {
+// explain starts the statement routed to mode and builds its report.
+func (db *Database) explain(ctx context.Context, query string, options []QueryOption, mode sql.ExplainMode) (*Explanation, error) {
+	s, err := db.start(ctx, query, options, mode)
+	if err != nil {
+		return nil, err
+	}
+	return s.explanation()
+}
+
+// explanation builds the report for a statement start routed to EXPLAIN,
+// draining it through the same path as Query first when it is analyzed.
+func (s *Stream) explanation() (*Explanation, error) {
 	var res *Result
-	if analyze {
-		cfg.instrument = true
-		r, err := db.execute(ctx, c, cfg)
+	var prof *exec.Profile
+	if s.mode == sql.ExplainAnalyze {
+		r, err := s.result()
 		if err != nil {
 			return nil, err
 		}
-		res = r
+		res, prof = r, s.ectx.Prof
 	}
-	est := stats.NewEstimator(db.st).EstimateAll(c.plan)
-	var prof *exec.Profile
-	if res != nil {
-		prof = res.prof
-	}
+	c := s.c
+	est := stats.NewEstimator(s.db.st).EstimateAll(c.plan)
 	annot := func(n core.Node) string {
 		e := est[n]
 		s := fmt.Sprintf("(rows=%.0f cost=%.0f)", e.Rows, e.Cost)
@@ -226,7 +208,7 @@ func (db *Database) explainCompiled(ctx context.Context, c *compiled, cfg queryC
 		EstimatedRows: root.Rows,
 		EstimatedCost: root.Cost,
 		Trace:         toTrace(c.trace),
-		Analyzed:      analyze,
+		Analyzed:      res != nil,
 		Result:        res,
 	}, nil
 }

@@ -11,11 +11,12 @@ import (
 )
 
 // TestInstrumentationNeutral is the observability layer's no-Heisenberg
-// guarantee: turning on per-operator profiling must not change any
-// observable output — rows (byte-identical, order included), executor
-// statistics, or the published XML — at serial and parallel degrees.
-// Run under -race this also exercises the profile's parallel merge path
-// on the full evaluation workload.
+// guarantee: tracing a query, which turns on per-operator profiling,
+// must not change any observable output — rows (byte-identical, order
+// included), executor statistics, or the published XML — at serial and
+// parallel degrees. Only the traced query carries a trace ID. Run under
+// -race this also exercises the profile's parallel merge path on the
+// full evaluation workload.
 func TestInstrumentationNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery skipped in -short mode")
@@ -29,9 +30,13 @@ func TestInstrumentationNeutral(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dop %d: %v", dop, err)
 				}
-				inst, err := db.Query(sq.SQL, gapplydb.WithDOP(dop), gapplydb.WithInstrumentation())
+				inst, err := db.Query(sq.SQL, gapplydb.WithDOP(dop), gapplydb.WithTracing())
 				if err != nil {
-					t.Fatalf("dop %d instrumented: %v", dop, err)
+					t.Fatalf("dop %d traced: %v", dop, err)
+				}
+				if !plain.TraceID.IsZero() || inst.TraceID.IsZero() {
+					t.Fatalf("dop %d: trace IDs untraced=%s traced=%s, want only the traced one set",
+						dop, plain.TraceID, inst.TraceID)
 				}
 				if d := firstDiff(ordered(plain), ordered(inst)); d != "" {
 					t.Fatalf("dop %d: instrumentation changed the rows: %s", dop, d)
@@ -51,14 +56,14 @@ func TestInstrumentationNeutral(t *testing.T) {
 }
 
 // TestInstrumentationNeutralXML extends the neutrality check to the end
-// product: the published document is byte-identical with profiling on.
+// product: the published document is byte-identical when traced.
 func TestInstrumentationNeutralXML(t *testing.T) {
 	db := integDatabase(t)
 	var want string
 	for _, instrument := range []bool{false, true} {
 		opts := []gapplydb.QueryOption{gapplydb.WithDOP(8)}
 		if instrument {
-			opts = append(opts, gapplydb.WithInstrumentation())
+			opts = append(opts, gapplydb.WithTracing())
 		}
 		var buf stringsBuilder
 		if _, err := xmlpub.Publish(db, xmlpub.Q1(), xmlpub.GApply, &buf, opts...); err != nil {
@@ -70,7 +75,7 @@ func TestInstrumentationNeutralXML(t *testing.T) {
 			continue
 		}
 		if doc != want {
-			t.Fatal("instrumentation changed the published XML document")
+			t.Fatal("tracing changed the published XML document")
 		}
 	}
 	if want == "" {

@@ -4,47 +4,46 @@ import (
 	"context"
 	"time"
 
-	"gapplydb/internal/core"
 	"gapplydb/internal/exec"
 	"gapplydb/internal/sql"
 	"gapplydb/internal/trace"
+	"gapplydb/internal/types"
 )
 
 // Stream is an incrementally consumed query result: the rows of Query,
-// delivered one at a time as execution produces them, without the
-// server-side materialization Result implies. The network server
-// streams every remote query through one of these, so a large result
-// only ever exists in full on the client.
+// delivered as execution produces them, without the server-side
+// materialization Result implies. The network server streams every
+// remote query through one of these, so a large result only ever exists
+// in full on the client.
 //
 // A Stream belongs to a single goroutine. Close must always be called;
 // it is idempotent and releases the execution (and the database's
 // in-flight registration, which Database.Close waits on). Draining a
 // stream to completion yields exactly the rows, errors and statistics
-// the materializing path would have produced.
+// Query produces: Query is such a drain.
 type Stream struct {
 	// Columns are the output column names, in order.
 	Columns []string
 
-	db       *Database
-	cur      *exec.Cursor  // nil for pre-materialized (EXPLAIN) streams
-	ectx     *exec.Context // execution context, for counters at finish
-	rows     [][]any       // pre-materialized rows (EXPLAIN statements)
-	ri       int
-	batchBuf [][]any            // NextBatch's reused outer container
-	stop     context.CancelFunc // unwinds lifecycle/timeout contexts
-	release  func()             // db in-flight registration
-	start    time.Time
-	stats    ExecStats
-	elapsed  time.Duration
-	done     bool
-	err      error
+	db      *Database
+	c       *compiled
+	mode    sql.ExplainMode // the EXPLAIN routing start chose
+	cur     *exec.Cursor    // nil until exec.Start returns, and for plain EXPLAIN
+	ectx    *exec.Context
+	batch   [][]any // the last converted batch; Next steps through batch[pos:]
+	pos     int
+	stop    context.CancelFunc // unwinds lifecycle/timeout contexts
+	release func()             // db in-flight registration
+	start   time.Time
+	stats   ExecStats
+	elapsed time.Duration
+	done    bool
+	err     error
 
-	// Tracing: the builder spanning this query (nil when untraced), the
-	// open execute span it finishes, and the plan operator spans are
-	// reconstructed from at finish.
+	// tb is the builder spanning this query (nil when untraced); finish
+	// closes its execute span and reconstructs operator spans under it.
 	tb       *trace.Builder
 	execSpan int
-	plan     core.Node
 }
 
 // Stream is StreamContext under context.Background().
@@ -60,61 +59,70 @@ func (db *Database) Stream(query string, options ...QueryOption) (*Stream, error
 // (which materializes) and its report lines are replayed as the stream's
 // rows, so remote shells need no special casing.
 func (db *Database) StreamContext(ctx context.Context, query string, options ...QueryOption) (*Stream, error) {
+	s, err := db.start(ctx, query, options, sql.ExplainNone)
+	if err != nil || s.mode == sql.ExplainNone {
+		return s, err
+	}
+	e, err := s.explanation()
+	if err != nil {
+		return nil, err
+	}
+	res := e.planResult()
+	s.Columns, s.batch = res.Columns, res.Rows
+	return s, nil
+}
+
+// start runs one statement's lifecycle up to its first row: admission,
+// tracing, compilation, EXPLAIN routing, the lifecycle and timeout
+// contexts, and exec.Start under the execute span and clock. Every query
+// entry point goes through it, and the returned Stream owns the
+// admission until finish settles it. A plain EXPLAIN never executes, so
+// its stream comes back settled. explain, when set, overrides the
+// statement's own EXPLAIN prefix (the Explain* entry points).
+func (db *Database) start(ctx context.Context, query string, options []QueryOption, explain sql.ExplainMode) (*Stream, error) {
 	release, err := db.acquire()
 	if err != nil {
 		return nil, err
 	}
-	cfg := makeConfig(options)
-	tb := db.traceSetup(&cfg, query)
-	c, hit, err := db.compile(query, cfg)
-	if err != nil {
-		db.finishTrace(tb, err)
-		release()
-		return nil, err
-	}
-	cfg.planCacheHit = hit
-	if c.mode != sql.ExplainNone {
-		e, err := db.explainCompiled(ctx, c, cfg, c.mode == sql.ExplainAnalyze)
-		if err != nil {
-			db.finishTrace(tb, err) // no-op if the analyzed execution finished it
-			release()
-			return nil, err
+	s := &Stream{db: db, release: release, stop: func() {}}
+	// Until a cursor runs, the admission is start's to release: on every
+	// error, on a plain EXPLAIN, and on a panic, or Database.Close hangs.
+	defer func() {
+		if s.cur == nil {
+			s.stop()
+			s.release()
 		}
-		db.finishTrace(tb, nil) // plain EXPLAIN never reaches execute
-		res := e.planResult()
-		release()
-		return &Stream{
-			Columns: res.Columns, rows: res.Rows,
-			stats: res.Stats, elapsed: res.Elapsed,
-			tb: tb,
-		}, nil
-	}
-
-	ctx, stop := db.lifecycleContext(ctx)
-	if cfg.budget.Timeout > 0 {
-		inner, cancel := context.WithTimeout(ctx, cfg.budget.Timeout)
-		outerStop := stop
-		ctx, stop = inner, func() { cancel(); outerStop() }
-	}
-	ectx := db.execContext(ctx, cfg)
-	execSpan := tb.StartSpan("execute", 0)
-	cur, err := exec.Start(c.plan, ectx)
+	}()
+	cfg := makeConfig(options)
+	s.tb = db.traceSetup(&cfg, query)
+	s.c, cfg.planCacheHit, err = db.compile(query, cfg)
 	if err != nil {
-		stop()
-		release()
-		db.reg.Counter("queries").Inc()
-		err = db.classifyExecError(err)
-		tb.EndSpan(execSpan)
-		attachOperatorSpans(tb, execSpan, c.plan, ectx.Prof)
-		db.finishTrace(tb, err)
+		db.finishTrace(s.tb, err)
 		return nil, err
 	}
-	s := &Stream{
-		Columns: make([]string, cur.Schema.Len()),
-		db:      db, cur: cur, ectx: ectx,
-		stop: stop, release: release, start: time.Now(),
-		tb: tb, execSpan: execSpan, plan: c.plan,
+	s.mode = s.c.mode
+	if explain != sql.ExplainNone {
+		s.mode = explain
 	}
+	if s.mode == sql.ExplainPlan {
+		s.done = true
+		db.finishTrace(s.tb, nil)
+		return s, nil
+	}
+	ctx, s.stop = db.lifecycleContext(ctx, cfg.budget.Timeout)
+	s.ectx = db.execContext(ctx, cfg)
+	if s.tb != nil || s.mode == sql.ExplainAnalyze {
+		s.ectx.Prof = exec.NewProfile()
+	}
+	s.execSpan = s.tb.StartSpan("execute", 0)
+	s.start = time.Now()
+	cur, err := exec.Start(s.c.plan, s.ectx)
+	if err != nil {
+		s.finish(err)
+		return nil, s.err
+	}
+	s.cur = cur
+	s.Columns = make([]string, cur.Schema.Len())
 	for i, col := range cur.Schema.Cols {
 		s.Columns[i] = col.QualifiedName()
 	}
@@ -125,32 +133,14 @@ func (db *Database) StreamContext(ctx context.Context, query string, options ...
 // Result.Rows uses). ok=false with a nil error marks exhaustion; errors
 // are classified exactly as QueryContext classifies them and are final.
 func (s *Stream) Next() ([]any, bool, error) {
-	if s.done {
-		return nil, false, s.err
-	}
-	if s.cur == nil { // pre-materialized (EXPLAIN) stream
-		if s.ri >= len(s.rows) {
-			s.done = true
-			return nil, false, nil
+	for s.pos == len(s.batch) {
+		if _, ok, err := s.NextBatch(); !ok {
+			return nil, false, err
 		}
-		r := s.rows[s.ri]
-		s.ri++
-		return r, true, nil
+		s.pos = 0
 	}
-	row, ok, err := s.cur.Next()
-	if err != nil {
-		s.finish(err)
-		return nil, false, s.err
-	}
-	if !ok {
-		s.finish(nil)
-		return nil, false, nil
-	}
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = toGo(v)
-	}
-	return out, true, nil
+	s.pos++
+	return s.batch[s.pos-1], true, nil
 }
 
 // NextBatch returns the next rows in bulk — up to one engine batch (256
@@ -162,51 +152,76 @@ func (s *Stream) Next() ([]any, bool, error) {
 // this path so the engine's batches flow to the wire without a per-row
 // hand-off.
 func (s *Stream) NextBatch() ([][]any, bool, error) {
+	if s.pos < len(s.batch) { // rows Next has not stepped through yet
+		out := s.batch[s.pos:]
+		s.pos = len(s.batch)
+		return out, true, nil
+	}
 	if s.done {
 		return nil, false, s.err
 	}
-	if s.cur == nil { // pre-materialized (EXPLAIN) stream
-		if s.ri >= len(s.rows) {
-			s.done = true
-			return nil, false, nil
-		}
-		out := s.rows[s.ri:]
-		s.ri = len(s.rows)
-		return out, true, nil
-	}
 	b, err := s.cur.NextBatch()
-	if err != nil {
+	if b == nil {
 		s.finish(err)
 		return nil, false, s.err
 	}
-	if b == nil {
-		s.finish(nil)
-		return nil, false, nil
-	}
 	n := b.Len()
-	if cap(s.batchBuf) < n {
-		s.batchBuf = make([][]any, n)
+	if cap(s.batch) < n {
+		s.batch = make([][]any, n)
 	}
-	out := s.batchBuf[:n]
-	for i := 0; i < n; i++ {
+	s.batch = s.batch[:n]
+	for i := range s.batch {
 		row := b.Row(i)
 		vals := make([]any, len(row))
 		for j, v := range row {
 			vals[j] = toGo(v)
 		}
-		out[i] = vals
+		s.batch[i] = vals
 	}
-	return out, true, nil
+	s.pos = n
+	return s.batch, true, nil
 }
 
-// finish settles the stream exactly once: metrics, stats, error
-// classification, and the lifecycle registrations.
+// result drains the rest of the stream's engine batches into a
+// materialized Result, settling the stream.
+func (s *Stream) result() (*Result, error) {
+	defer func() {
+		if !s.done { // a panic cut the drain short: still release the admission
+			s.stop()
+			s.release()
+		}
+	}()
+	var rows []types.Row
+	for !s.done {
+		b, err := s.cur.NextBatch()
+		if b == nil {
+			s.finish(err)
+			break
+		}
+		rows = b.AppendRows(rows)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	out := newResult(&exec.Result{Schema: s.c.plan.Schema(), Rows: rows})
+	out.Elapsed = s.elapsed
+	out.Stats = s.stats
+	out.Trace = toTrace(s.c.trace)
+	out.TraceID = s.tb.ID()
+	return out, nil
+}
+
+// finish settles the stream exactly once and is the only place a query
+// is recorded: cursor close, metrics, stats, error classification,
+// operator spans, the trace, and the lifecycle registrations.
 func (s *Stream) finish(err error) {
 	if s.done {
 		return
 	}
 	s.done = true
-	s.cur.Close()
+	if s.cur != nil {
+		s.cur.Close()
+	}
 	s.elapsed = time.Since(s.start)
 	s.db.reg.Counter("queries").Inc()
 	s.db.reg.Histogram("execute_latency").Observe(s.elapsed)
@@ -217,7 +232,7 @@ func (s *Stream) finish(err error) {
 		s.stats = statsOf(s.ectx.Counters)
 	}
 	s.tb.EndSpan(s.execSpan)
-	attachOperatorSpans(s.tb, s.execSpan, s.plan, s.ectx.Prof)
+	attachOperatorSpans(s.tb, s.execSpan, s.c.plan, s.ectx.Prof)
 	s.db.finishTrace(s.tb, s.err)
 	s.stop()
 	s.release()
@@ -227,10 +242,8 @@ func (s *Stream) finish(err error) {
 // before exhaustion counts the query as executed and records the work
 // done up to that point. Always returns the stream's final error state.
 func (s *Stream) Close() error {
-	if !s.done && s.cur != nil {
-		s.finish(nil)
-	}
-	s.done = true
+	s.finish(nil)
+	s.pos = len(s.batch)
 	return s.err
 }
 
@@ -241,7 +254,8 @@ func (s *Stream) Err() error { return s.err }
 // exhausted (before that it is zero).
 func (s *Stream) Stats() ExecStats { return s.stats }
 
-// Elapsed is the wall time from Start to exhaustion (or Close).
+// Elapsed is the execution wall time: from just before the plan is built
+// and opened to exhaustion (or Close).
 func (s *Stream) Elapsed() time.Duration { return s.elapsed }
 
 // TraceID identifies this query's end-to-end trace in the flight

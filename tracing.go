@@ -52,14 +52,6 @@ func WithTraceID(id TraceID) QueryOption {
 	}
 }
 
-// WithTraceSampling traces the query with probability p (head sampling:
-// the decision is made once, before compilation). p <= 0 never samples,
-// p >= 1 always does. The decision stream is the database's seeded
-// sampler, so tests can pin it with SeedTraceSampler.
-func WithTraceSampling(p float64) QueryOption {
-	return func(c *queryConfig) { c.traceProb = p }
-}
-
 // WithTraceBuilder attaches an externally created trace builder — the
 // network server opens the builder itself so the trace includes spans
 // (admission wait) from before the engine is entered. The engine adds
@@ -74,37 +66,25 @@ func WithTraceBuilder(b *trace.Builder) QueryOption {
 // /debug/traces endpoint and gsql's \trace command read from it.
 func (db *Database) Traces() *TraceRecorder { return db.traces }
 
-// SeedTraceSampler reseeds the head-sampling decision stream —
-// deterministic sampling for tests and reproducible load runs.
-func (db *Database) SeedTraceSampler(seed int64) { db.sampler.Reseed(seed) }
-
 // traceSetup decides whether this query is traced and opens its builder:
-// an externally supplied builder wins, then a forced/ID'd trace, then
-// the sampling draw. Traced queries run instrumented so operator spans
-// can be reconstructed from the profile; untraced queries return nil and
-// every downstream trace call is a nil-receiver no-op.
+// an externally supplied builder wins, then a forced/ID'd trace. Traced
+// queries run instrumented (see start) so operator spans can be
+// reconstructed from the profile; untraced queries return nil and every
+// downstream trace call is a nil-receiver no-op. Sampling is the
+// network server's: it opens a builder for the queries it samples.
 func (db *Database) traceSetup(cfg *queryConfig, query string) *trace.Builder {
-	if cfg.traceBuilder != nil {
-		cfg.instrument = true
-		db.reg.Counter("queries_traced").Inc()
-		return cfg.traceBuilder
+	if cfg.traceBuilder == nil {
+		if !cfg.forceTrace {
+			return nil
+		}
+		id := cfg.traceID
+		if id.IsZero() {
+			id = trace.NewID()
+		}
+		cfg.traceBuilder = trace.NewBuilder(id, query)
 	}
-	traced := cfg.forceTrace || !cfg.traceID.IsZero()
-	if !traced && cfg.traceProb > 0 {
-		traced = db.sampler.Sample(cfg.traceProb)
-	}
-	if !traced {
-		return nil
-	}
-	id := cfg.traceID
-	if id.IsZero() {
-		id = trace.NewID()
-	}
-	tb := trace.NewBuilder(id, query)
-	cfg.traceBuilder = tb
-	cfg.instrument = true
 	db.reg.Counter("queries_traced").Inc()
-	return tb
+	return cfg.traceBuilder
 }
 
 // finishTrace seals a builder with the query's outcome and records the

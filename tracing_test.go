@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gapplydb"
 	"gapplydb/experiments"
@@ -98,9 +99,9 @@ func TestTraceDurationsConsistentWithAnalyze(t *testing.T) {
 	if len(execIdx) != 1 {
 		t.Fatalf("execute spans = %d, want 1", len(execIdx))
 	}
-	// The execute span wraps exec.Run; the analyzed Result's Elapsed is
-	// the same region. They are separate clock reads, so allow slack,
-	// but they must be the same order of magnitude region.
+	// The execute span wraps exec.Start and the drain; the analyzed
+	// Result's Elapsed is the same region. They are separate clock reads,
+	// so allow slack, but they must be the same order of magnitude region.
 	execDur := tr.Spans[execIdx[0]].Dur
 	if execDur < e.Result.Elapsed {
 		t.Fatalf("execute span %v shorter than analyzed elapsed %v", execDur, e.Result.Elapsed)
@@ -204,7 +205,8 @@ func TestStreamTraceRecorded(t *testing.T) {
 
 // TestTraceNeutrality is the tracing analogue of the instrumentation
 // no-Heisenberg guarantee: tracing a query must not change its rows at
-// any degree of parallelism.
+// any degree of parallelism. It is the -short-mode counterpart of
+// TestInstrumentationNeutral, over the first few suite queries.
 func TestTraceNeutrality(t *testing.T) {
 	db := integDatabase(t)
 	for _, sq := range experiments.SuiteQueries()[:4] {
@@ -232,56 +234,11 @@ func TestTraceNeutrality(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingDeterministic pins head sampling to the seeded
-// decision stream: identical seeds make identical decisions, and the
-// sampled fraction tracks p.
-func TestTraceSamplingDeterministic(t *testing.T) {
-	db := integDatabase(t)
-	run := func(seed int64, n int, p float64) []bool {
-		db.SeedTraceSampler(seed)
-		out := make([]bool, n)
-		for i := range out {
-			res, err := db.Query("select count(*) from part", gapplydb.WithTraceSampling(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = !res.TraceID.IsZero()
-		}
-		return out
-	}
-	a := run(42, 64, 0.5)
-	b := run(42, 64, 0.5)
-	sampled := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d diverged across identical seeds", i)
-		}
-		if a[i] {
-			sampled++
-		}
-	}
-	if sampled == 0 || sampled == len(a) {
-		t.Fatalf("sampling at p=0.5 hit %d/%d — not sampling", sampled, len(a))
-	}
-	// p=0 never traces; p=1 always does.
-	for _, r := range run(1, 8, 0) {
-		if r {
-			t.Fatal("p=0 traced a query")
-		}
-	}
-	for _, r := range run(1, 8, 1) {
-		if !r {
-			t.Fatal("p=1 skipped a query")
-		}
-	}
-}
-
-// TestTraceConcurrentSampledQueries churns sampled, traced queries at
-// dop 8 from many goroutines — the race detector's view of the sampler,
-// builder, and flight recorder under real load.
+// TestTraceConcurrentSampledQueries churns queries at dop 8 from many
+// goroutines, every other one traced — the race detector's view of the
+// builder and flight recorder under real load.
 func TestTraceConcurrentSampledQueries(t *testing.T) {
 	db := integDatabase(t)
-	db.SeedTraceSampler(7)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -289,7 +246,11 @@ func TestTraceConcurrentSampledQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := db.Query(traceQuery, gapplydb.WithDOP(8), gapplydb.WithTraceSampling(0.5))
+				opts := []gapplydb.QueryOption{gapplydb.WithDOP(8)}
+				if i%2 == 0 {
+					opts = append(opts, gapplydb.WithTracing())
+				}
+				res, err := db.Query(traceQuery, opts...)
 				if err != nil {
 					errs <- err
 					return
@@ -311,6 +272,62 @@ func TestTraceConcurrentSampledQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(db.Traces().Recent()) == 0 {
-		t.Fatal("no traces recorded by concurrent sampled queries")
+		t.Fatal("no traces recorded by concurrent traced queries")
+	}
+}
+
+// TestElapsedCoversBuildAndOpen: Result.Elapsed and Stream.Elapsed both
+// time the whole execution — Build and Open, where an unindexed ORDER BY
+// sorts, then the drain and Close — so neither is shorter than the root
+// operator's profiled time, which is measured inside that interval.
+func TestElapsedCoversBuildAndOpen(t *testing.T) {
+	db := integDatabase(t)
+	const q = "select l_orderkey, l_quantity from lineitem order by l_quantity, l_orderkey"
+	opts := []gapplydb.QueryOption{gapplydb.WithTracing(), gapplydb.WithoutIndexes()}
+	rootOperator := func(id gapplydb.TraceID) time.Duration {
+		t.Helper()
+		tr := db.Traces().Get(id)
+		if tr == nil {
+			t.Fatal("trace not in flight recorder")
+		}
+		exec := tr.Find("execute")
+		if len(exec) != 1 {
+			t.Fatalf("execute spans = %d, want 1\n%s", len(exec), tr)
+		}
+		for _, s := range tr.Spans {
+			if s.Parent == exec[0] {
+				return s.Dur
+			}
+		}
+		t.Fatalf("no operator span under execute\n%s", tr)
+		return 0
+	}
+
+	res, err := db.Query(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root := rootOperator(res.TraceID); res.Elapsed < root {
+		t.Errorf("Query: Elapsed %v < root operator span %v", res.Elapsed, root)
+	}
+
+	s, err := db.Stream(q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, ok, err := s.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if root := rootOperator(s.TraceID()); s.Elapsed() < root {
+		t.Errorf("Stream: Elapsed %v < root operator span %v", s.Elapsed(), root)
 	}
 }
