@@ -61,6 +61,7 @@ func runQuery(b *testing.B, q string, opts ...gapplydb.QueryOption) {
 	if _, err := db.Query(q, opts...); err != nil {
 		b.Fatalf("%v\nquery: %s", err, q)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Query(q, opts...); err != nil {

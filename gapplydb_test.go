@@ -152,6 +152,42 @@ func TestIntegerOverflowIsAnError(t *testing.T) {
 	}
 }
 
+// TestSumOverflowIsAnError: an integer SUM whose total leaves int64
+// fails the query like overflowing arithmetic does, instead of wrapping,
+// while a sum whose running total only passes outside the range on the
+// way still comes out exact.
+func TestSumOverflowIsAnError(t *testing.T) {
+	db := Open()
+	if err := db.CreateTable("t", []Column{{"k", "int"}, {"x", "int"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	const maxInt = int64(9223372036854775807)
+	rows := [][]any{{1, maxInt}, {1, maxInt}, {1, maxInt}, {1, maxInt}, {1, maxInt},
+		{2, maxInt}, {2, 1}, {2, -1},
+		{3, -maxInt}, {3, -2}}
+	if err := db.Insert("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"select sum(x) from t where k = 1",
+		"select sum(x) from t where k = 3",
+		"select k, sum(x) from t group by k",
+		"select gapply(select sum(x) from g) as (s) from t group by k : g",
+	} {
+		res, err := db.Query(q)
+		if err == nil || !strings.Contains(err.Error(), "integer overflow") {
+			t.Errorf("%s: err = %v, rows = %v; want an integer overflow error", q, err, res)
+		}
+	}
+	res, err := db.Query("select sum(x) from t where k = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got != maxInt {
+		t.Errorf("sum(MaxInt64, 1, -1) = %v, want %d", got, maxInt)
+	}
+}
+
 func TestExplain(t *testing.T) {
 	db := fixture(t)
 	q := `select gapply(select count(*) from g) as (n)

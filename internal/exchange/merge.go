@@ -3,6 +3,8 @@ package exchange
 import (
 	"fmt"
 	"math"
+
+	"gapplydb/internal/types"
 )
 
 // CompareValues is types.SortCompare transplanted onto decoded wire
@@ -225,6 +227,9 @@ func (m *Merge) pull(i int) error {
 // row per shard, one combine per column) into the global row. NULL
 // partials come from empty shards and are skipped; an all-NULL column
 // stays NULL — except counts, which are never NULL and sum from zero.
+// Integer partials add exactly (types.IntSum); a total that does not
+// fit int64 fails with types.ErrIntegerOverflow, as the engine's own
+// SUM does.
 func CombineAggRows(rows [][]any, combines []CombineFn) ([]any, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("exchange: no partial aggregate rows to combine")
@@ -232,6 +237,8 @@ func CombineAggRows(rows [][]any, combines []CombineFn) ([]any, error) {
 	out := make([]any, len(combines))
 	for j, fn := range combines {
 		var acc any
+		var sum types.IntSum
+		summed := fn == CombineCount // a count is never NULL
 		for i, row := range rows {
 			if len(row) != len(combines) {
 				return nil, fmt.Errorf("exchange: partial row %d has %d columns, want %d", i, len(row), len(combines))
@@ -246,11 +253,8 @@ func CombineAggRows(rows [][]any, combines []CombineFn) ([]any, error) {
 				if !ok {
 					return nil, fmt.Errorf("exchange: partial %v is %T, want int64", v, v)
 				}
-				if acc == nil {
-					acc = n
-				} else {
-					acc = acc.(int64) + n
-				}
+				sum.Add(n)
+				summed = true
 			case CombineMin:
 				if acc == nil || CompareValues(v, acc) < 0 {
 					acc = v
@@ -261,8 +265,12 @@ func CombineAggRows(rows [][]any, combines []CombineFn) ([]any, error) {
 				}
 			}
 		}
-		if acc == nil && fn == CombineCount {
-			acc = int64(0)
+		if summed {
+			total, err := sum.Int64()
+			if err != nil {
+				return nil, err
+			}
+			acc = total
 		}
 		out[j] = acc
 	}

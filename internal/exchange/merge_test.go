@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sort"
@@ -166,5 +167,16 @@ func TestCombineAggRows(t *testing.T) {
 	}
 	if _, err := CombineAggRows(nil, []CombineFn{CombineCount}); err == nil {
 		t.Fatal("zero shard rows accepted")
+	}
+
+	// Integer partials add exactly: a running total may leave int64 on
+	// the way, but a global total outside it is an error, never a wrap.
+	const maxI = int64(math.MaxInt64)
+	exact, err := CombineAggRows([][]any{{maxI}, {int64(1)}, {int64(-1)}}, []CombineFn{CombineSum})
+	if err != nil || exact[0] != maxI {
+		t.Fatalf("sum(MaxInt64, 1, -1) = %#v err=%v, want MaxInt64", exact, err)
+	}
+	if got, err := CombineAggRows([][]any{{maxI}, {maxI}}, []CombineFn{CombineSum}); !errors.Is(err, types.ErrIntegerOverflow) {
+		t.Fatalf("sum(MaxInt64, MaxInt64) = %#v err=%v, want types.ErrIntegerOverflow", got, err)
 	}
 }

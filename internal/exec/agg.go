@@ -19,9 +19,9 @@ type accum struct {
 	distinct bool
 	seen     map[string]bool
 
-	rows     int64 // rows seen (count(*))
-	n        int64 // non-null inputs
-	sumI     int64
+	rows     int64        // rows seen (count(*))
+	n        int64        // non-null inputs
+	sumI     types.IntSum // exact; checked against int64 in result
 	sumF     float64
 	anyFloat bool
 	minV     types.Value
@@ -63,7 +63,7 @@ func (a *accum) add(v types.Value) error {
 	case "sum", "avg":
 		switch v.K {
 		case types.KindInt:
-			a.sumI += v.I
+			a.sumI.Add(v.I)
 			a.sumF += float64(v.I)
 		case types.KindFloat:
 			a.anyFloat = true
@@ -87,32 +87,39 @@ func (a *accum) add(v types.Value) error {
 	return nil
 }
 
-func (a *accum) result() types.Value {
+// result returns the aggregate's value. An integer SUM whose total does
+// not fit int64 fails with types.ErrIntegerOverflow, as integer
+// arithmetic does.
+func (a *accum) result() (types.Value, error) {
 	switch a.fn {
 	case "count":
 		if a.star {
-			return types.NewInt(a.rows)
+			return types.NewInt(a.rows), nil
 		}
-		return types.NewInt(a.n)
+		return types.NewInt(a.n), nil
 	case "sum":
 		if a.n == 0 {
-			return types.Null
+			return types.Null, nil
 		}
 		if a.anyFloat {
-			return types.NewFloat(a.sumF)
+			return types.NewFloat(a.sumF), nil
 		}
-		return types.NewInt(a.sumI)
+		s, err := a.sumI.Int64()
+		if err != nil {
+			return types.Null, err
+		}
+		return types.NewInt(s), nil
 	case "avg":
 		if a.n == 0 {
-			return types.Null
+			return types.Null, nil
 		}
-		return types.NewFloat(a.sumF / float64(a.n))
+		return types.NewFloat(a.sumF / float64(a.n)), nil
 	case "min":
-		return a.minV
+		return a.minV, nil
 	case "max":
-		return a.maxV
+		return a.maxV, nil
 	}
-	return types.Null
+	return types.Null, nil
 }
 
 // compiledAgg pairs a spec with its argument evaluator.

@@ -11,22 +11,26 @@ import "gapplydb/internal/types"
 // once per batch instead of once per row.
 //
 // Layout. A Batch is row-major: Rows holds the row data (each row a
-// types.Row, the same representation the storage layer uses), and Sel is the selection vector — the indexes of the
-// live rows, in order. Filters narrow Sel without moving row data;
-// column-oriented kernels (vector.go) traverse one column of the live
-// rows in a tight loop. Row-major with a selection vector, rather than
-// a columnar flip, because the storage layer is row-major, every
-// operator exchanges whole rows, and a types.Value is a 40-byte struct:
-// transposing at every operator boundary would cost more than the
-// column-stride traversal saves.
+// types.Row, the same representation the storage layer uses), and Sel
+// is the selection vector — the indexes of the live rows, in order.
+// Filters narrow Sel without moving row data; column-oriented kernels
+// (vector.go) traverse one column of the live rows in a tight loop.
+// Row-major with a selection vector, rather than a columnar flip,
+// because the storage layer is row-major, operators exchange rows, and
+// a types.Value is a 40-byte struct: transposing at every operator
+// boundary would cost more than the column-stride traversal saves. Row
+// data is copied only into rows an operator builds (projections,
+// aggregates, join, Apply and GApply concatenations); a join's output
+// holds only the columns its consumer reads (projection-into-join
+// fusion, build_batch.go).
 //
 // Ownership contract. Row values (types.Row headers and the Values they
 // point at) are immutable and stable: holding one past the next pull is
 // always safe. The Batch container itself — the Rows and Sel slices —
 // is transient: it is valid only until the next NextBatch call on the
 // producer, which may reuse the backing arrays. An operator that keeps
-// rows across pulls (sort, join build, partition, spool) must copy the
-// row headers out; none needs to copy row data.
+// rows across pulls (sort, join build, GApply partition, spool) copies
+// the row headers out; none copies row data.
 
 // batchSize is the target number of rows per batch. It matches
 // cancelBatch, so one batch of work is also one cancellation window:
@@ -60,37 +64,6 @@ func (b *Batch) Row(i int) types.Row {
 		return b.Rows[b.Sel[i]]
 	}
 	return b.Rows[i]
-}
-
-// Gather appends column ord of every live row to dst and returns it —
-// the column-slice view a vectorized kernel iterates.
-func (b *Batch) Gather(ord int, dst []types.Value) []types.Value {
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			dst = append(dst, b.Rows[i][ord])
-		}
-		return dst
-	}
-	for i := range b.Rows {
-		dst = append(dst, b.Rows[i][ord])
-	}
-	return dst
-}
-
-// NullMask appends one bool per live row to dst — true when column ord
-// is NULL in that row — and returns it. Join and aggregate paths use it
-// to split NULL handling out of their inner loops.
-func (b *Batch) NullMask(ord int, dst []bool) []bool {
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			dst = append(dst, b.Rows[i][ord].IsNull())
-		}
-		return dst
-	}
-	for i := range b.Rows {
-		dst = append(dst, b.Rows[i][ord].IsNull())
-	}
-	return dst
 }
 
 // AppendRows appends the live rows' headers to dst and returns it — the

@@ -83,7 +83,11 @@ func (h *bHashGroupBy) NextBatch() (*Batch, error) {
 		start := len(slab)
 		slab = append(slab, h.keys[i]...)
 		for _, st := range h.states[i] {
-			slab = append(slab, st.result())
+			v, err := st.result()
+			if err != nil {
+				return nil, err
+			}
+			slab = append(slab, v)
 		}
 		rows = append(rows, slab[start:len(slab):len(slab)])
 	}
@@ -139,7 +143,11 @@ func (s *bScalarAgg) Open() error {
 	}
 	s.outR = make(types.Row, len(states))
 	for i, st := range states {
-		s.outR[i] = st.result()
+		v, err := st.result()
+		if err != nil {
+			return err
+		}
+		s.outR[i] = v
 	}
 	s.done = false
 	return nil

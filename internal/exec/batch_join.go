@@ -9,27 +9,37 @@ import (
 // batches are capped at batchSize: a high-fan-out join still reaches a
 // cancellation point once per output batch.
 
-// joinOut assembles concatenated output rows into shared slabs. Every
-// emitted row is a three-index slice of the slab (slab[start:end:end]),
-// so the slab's unused tail is never aliased — which lets one slab
-// serve many batches: reset only rewinds the rows container, and a
-// fresh slab is allocated (geometrically, capped at one full batch's
-// worth) only when the current one fills. Tiny outputs — the per-group
-// inners GApply re-opens thousands of times — therefore cost a few
-// small allocations total instead of a 256-row slab per batch.
+// joinOut assembles output rows into shared slabs. Every emitted row is
+// a three-index slice of the slab (slab[start:end:end]), so the slab's
+// unused tail is never aliased — which lets one slab serve many
+// batches: reset only rewinds the rows container, and a fresh slab is
+// allocated (geometrically, capped at one full batch's worth) only when
+// the current one fills. Tiny outputs — the per-group inners GApply
+// re-opens thousands of times — therefore cost a few small allocations
+// total instead of a 256-row slab per batch.
+//
+// ords, when non-nil, is the consumer's column list fused into the join
+// (see buildBatchJoin): add writes only those ordinals of a++b, in ords
+// order, and width is len(ords). A value no consumer reads is never
+// copied.
 type joinOut struct {
 	rows  []types.Row
 	slab  types.Row
 	width int
+	ords  []int
 }
 
 func (o *joinOut) reset() {
 	o.rows = o.rows[:0]
 }
 
-// add appends the concatenation a++b as one output row.
+// add appends one output row built from the concatenation a++b: all of
+// it, or the ords columns when set.
 func (o *joinOut) add(a, b types.Row) {
 	need := len(a) + len(b)
+	if o.ords != nil {
+		need = len(o.ords)
+	}
 	if len(o.slab)+need > cap(o.slab) {
 		// Rows already emitted keep pointing into the old slab; only new
 		// rows land in the fresh one.
@@ -46,8 +56,18 @@ func (o *joinOut) add(a, b types.Row) {
 		o.slab = make(types.Row, 0, c)
 	}
 	start := len(o.slab)
-	o.slab = append(o.slab, a...)
-	o.slab = append(o.slab, b...)
+	if o.ords == nil {
+		o.slab = append(o.slab, a...)
+		o.slab = append(o.slab, b...)
+	} else {
+		for _, k := range o.ords {
+			if k < len(a) {
+				o.slab = append(o.slab, a[k])
+			} else {
+				o.slab = append(o.slab, b[k-len(a)])
+			}
+		}
+	}
 	o.rows = append(o.rows, o.slab[start:len(o.slab):len(o.slab)])
 }
 
@@ -149,7 +169,6 @@ func (h *bHashJoin) Open() error {
 	if (h.pred != nil || h.post != nil) && h.probeRow == nil {
 		h.probeRow = make(types.Row, h.width)
 	}
-	h.outBuf.width = h.width
 	return h.left.Open()
 }
 
@@ -318,7 +337,6 @@ func (n *bNLJoin) Open() error {
 	if n.probeRow == nil {
 		n.probeRow = make(types.Row, n.width)
 	}
-	n.outBuf.width = n.width
 	return n.left.Open()
 }
 

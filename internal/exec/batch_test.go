@@ -104,18 +104,153 @@ func TestSelectOverJoinFusesAsPostFilter(t *testing.T) {
 	}
 }
 
+// projectJoin is Project(p_name, ps_suppkey) over partsupp ⋈ part.
+func projectJoin(in core.Node) *core.Project {
+	return core.NewProject(in, []core.Expr{core.Col("p_name"), core.Col("ps_suppkey")}, []string{"", ""})
+}
+
+// brandCounts is GroupBy(p_brand; count(*), sum(ps_suppkey)) over in.
+func brandCounts(in core.Node) *core.GroupBy {
+	return &core.GroupBy{
+		Input:     in,
+		GroupCols: []*core.ColRef{core.Col("p_brand")},
+		Aggs: []core.AggSpec{
+			{Fn: "count", Star: true, As: "n"},
+			{Fn: "sum", Arg: core.Col("ps_suppkey"), As: "s"},
+		},
+	}
+}
+
+// unwrap strips the probe and spool wrappers buildBatch puts around a
+// node's iterator.
+func unwrap(it BatchIterator) BatchIterator {
+	for {
+		switch w := it.(type) {
+		case *batchProbe:
+			it = w.inner
+		case *bspool:
+			it = w.inner
+		default:
+			return it
+		}
+	}
+}
+
+// TestJoinFusionGatedByProfile: a Select, Project or GroupBy fuses into
+// the join below it only when the join's identity is unobserved. Under
+// a profile (EXPLAIN ANALYZE) every operator keeps its identity, or
+// per-operator actuals change shape; with a spool holder on the join,
+// the spool must wrap the join the planner named. Either way the join
+// emits whole rows, unfiltered, and the consumer stays a distinct
+// operator over it.
 func TestJoinFusionGatedByProfile(t *testing.T) {
+	consumers := []struct {
+		name  string
+		plan  func(in core.Node) core.Node
+		input func(it BatchIterator) (BatchIterator, bool)
+	}{
+		{"select", func(in core.Node) core.Node { return priceFilter(in) }, func(it BatchIterator) (BatchIterator, bool) {
+			f, ok := it.(*bFilter)
+			if !ok {
+				return nil, false
+			}
+			return f.input, true
+		}},
+		{"project", func(in core.Node) core.Node { return projectJoin(in) }, func(it BatchIterator) (BatchIterator, bool) {
+			p, ok := it.(*bProjectCols)
+			if !ok {
+				return nil, false
+			}
+			return p.input, true
+		}},
+		{"groupby", func(in core.Node) core.Node { return brandCounts(in) }, func(it BatchIterator) (BatchIterator, bool) {
+			g, ok := it.(*bHashGroupBy)
+			if !ok {
+				return nil, false
+			}
+			return g.input, true
+		}},
+	}
+	observers := []struct {
+		name    string
+		observe func(ctx *Context, j *core.Join)
+	}{
+		{"profile", func(ctx *Context, _ *core.Join) { ctx.Prof = NewProfile() }},
+		{"spool", func(ctx *Context, j *core.Join) { ctx.spools = newSpoolRegistry([]core.Node{j}) }},
+	}
+	for _, c := range consumers {
+		for _, o := range observers {
+			t.Run(c.name+"/"+o.name, func(t *testing.T) {
+				ctx := fixture(t)
+				j := joined(ctx)
+				o.observe(ctx, j)
+				it, err := buildBatch(c.plan(j), ctx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in, ok := c.input(unwrap(it))
+				if !ok {
+					t.Fatalf("consumer built %T, want it kept as a distinct operator", unwrap(it))
+				}
+				hj, ok := unwrap(in).(*bHashJoin)
+				if !ok {
+					t.Fatalf("consumer input is %T, want the join", unwrap(in))
+				}
+				if hj.post != nil || hj.outBuf.ords != nil {
+					t.Fatalf("observed join fused its consumer (post %v, ords %v)", hj.post != nil, hj.outBuf.ords)
+				}
+			})
+		}
+	}
+}
+
+// TestProjectJoinFusesIntoJoin: a pure-column Project over an unobserved
+// join compiles to the join alone, writing the projection's columns (in
+// its order, duplicates kept) straight into its output slab.
+func TestProjectJoinFusesIntoJoin(t *testing.T) {
 	ctx := fixture(t)
-	ctx.Prof = NewProfile()
-	it, err := buildBatch(priceFilter(joined(ctx)), ctx, nil)
+	plan := core.NewProject(joined(ctx),
+		[]core.Expr{core.Col("p_name"), core.Col("ps_suppkey"), core.Col("p_name")}, []string{"", "", ""})
+	it, err := buildBatch(plan, ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Under EXPLAIN ANALYZE every operator keeps its identity: the Select
-	// must stay a distinct (probe-wrapped) operator, not vanish into the
-	// join, or per-operator actuals change shape.
-	if _, fused := it.(*bHashJoin); fused {
-		t.Fatal("Select fused into join despite active profile")
+	hj, ok := it.(*bHashJoin)
+	if !ok {
+		t.Fatalf("Project(Join) built %T, want *bHashJoin with the projection fused in", it)
+	}
+	// partsupp(ps_partkey, ps_suppkey) ++ part(p_partkey, p_name, ...).
+	if want := []int{3, 1, 3}; !reflect.DeepEqual(hj.outBuf.ords, want) {
+		t.Fatalf("join output ordinals = %v, want %v", hj.outBuf.ords, want)
+	}
+	rows, err := drainBatchRows(it, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if len(r) != 3 || cap(r) != 3 {
+			t.Fatalf("row %v: len %d cap %d, want 3/3", r, len(r), cap(r))
+		}
+	}
+
+	// A computed projection keeps its own operator over a join that
+	// writes only the columns it reads, in schema order.
+	plan = core.NewProject(joined(ctx),
+		[]core.Expr{&core.BinOp{Op: "*", L: core.Col("p_retailprice"), R: core.LitFloat(2)}, core.Col("ps_suppkey")}, []string{"", ""})
+	it, err = buildBatch(plan, ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := it.(*bProject)
+	if !ok {
+		t.Fatalf("computed Project(Join) built %T, want *bProject", it)
+	}
+	hj, ok = p.input.(*bHashJoin)
+	if !ok {
+		t.Fatalf("computed projection's input is %T, want *bHashJoin", p.input)
+	}
+	if want := []int{1, 4}; !reflect.DeepEqual(hj.outBuf.ords, want) {
+		t.Fatalf("join output ordinals = %v, want %v", hj.outBuf.ords, want)
 	}
 }
 
@@ -129,6 +264,10 @@ func TestBatchEngineParityOnJoinFusionShapes(t *testing.T) {
 			Cond:  &core.Cmp{Op: "=", L: core.QCol("supplier", "s_suppkey"), R: core.QCol("partsupp", "ps_suppkey")},
 		}
 	}
+	withMethod := func(j *core.Join, m core.JoinMethod) *core.Join {
+		j.Method = m
+		return j
+	}
 	cases := []struct {
 		name string
 		plan func(ctx *Context) core.Node
@@ -137,6 +276,51 @@ func TestBatchEngineParityOnJoinFusionShapes(t *testing.T) {
 		{"project-select-join", func(ctx *Context) core.Node {
 			return core.NewProject(priceFilter(joined(ctx)),
 				[]core.Expr{core.Col("p_name"), core.Col("p_retailprice")}, []string{"", ""})
+		}},
+		{"project-join-reordered-duplicated", func(ctx *Context) core.Node {
+			return core.NewProject(joined(ctx),
+				[]core.Expr{core.Col("p_brand"), core.Col("ps_suppkey"), core.Col("p_brand"), core.QCol("partsupp", "ps_partkey")},
+				[]string{"", "", "b2", ""})
+		}},
+		{"project-join-computed", func(ctx *Context) core.Node {
+			return core.NewProject(joined(ctx),
+				[]core.Expr{&core.BinOp{Op: "*", L: core.Col("p_retailprice"), R: core.Col("ps_suppkey")}, core.Col("p_name")},
+				[]string{"cost", ""})
+		}},
+		{"project-select-join-computed", func(ctx *Context) core.Node {
+			return core.NewProject(priceFilter(joined(ctx)),
+				[]core.Expr{&core.BinOp{Op: "+", L: core.Col("ps_suppkey"), R: core.LitInt(100)}}, []string{"k"})
+		}},
+		// gamma supplies nothing: the projection reads the padded side,
+		// which must come out NULL.
+		{"project-outer-join-padded-side", func(ctx *Context) core.Node {
+			return core.NewProject(outerJoin(ctx),
+				[]core.Expr{core.Col("ps_partkey"), core.Col("s_name")}, []string{"", ""})
+		}},
+		{"groupby-join", func(ctx *Context) core.Node { return brandCounts(joined(ctx)) }},
+		{"groupby-select-join", func(ctx *Context) core.Node { return brandCounts(priceFilter(joined(ctx))) }},
+		// count(*) alone reads no column: the join emits zero-width rows.
+		{"count-star-aggregate-join", func(ctx *Context) core.Node {
+			return &core.AggOp{Input: joined(ctx), Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
+		}},
+		{"aggregate-outer-join", func(ctx *Context) core.Node {
+			return &core.AggOp{Input: outerJoin(ctx), Aggs: []core.AggSpec{
+				{Fn: "count", Arg: core.Col("ps_partkey"), As: "n"},
+				{Fn: "max", Arg: core.Col("s_name"), As: "m"},
+			}}
+		}},
+		{"project-merge-join", func(ctx *Context) core.Node {
+			return projectJoin(withMethod(joined(ctx), core.JoinMerge))
+		}},
+		{"project-select-merge-join", func(ctx *Context) core.Node {
+			return projectJoin(priceFilter(withMethod(joined(ctx), core.JoinMerge)))
+		}},
+		{"project-nl-join", func(ctx *Context) core.Node {
+			return projectJoin(withMethod(joined(ctx), core.JoinNestedLoops))
+		}},
+		{"project-nl-outer-join", func(ctx *Context) core.Node {
+			return core.NewProject(withMethod(outerJoin(ctx), core.JoinNestedLoops),
+				[]core.Expr{core.Col("s_name"), core.Col("ps_partkey")}, []string{"", ""})
 		}},
 		// gamma supplies nothing: the padded row passes this filter, so
 		// the fused post predicate must run on NULL-padded rows too.

@@ -91,6 +91,75 @@ func pureColOrds(exprs []core.Expr, in interface {
 	return ords, true
 }
 
+// fusableJoin reports whether n is a Join, or a Select over a Join,
+// that its consumer may fuse into: the nodes' identities are unobserved
+// (fusable, joinFusable). post is the Select's condition, to be fused in
+// as the join's post-filter; nil for a bare Join.
+func fusableJoin(n core.Node, ctx *Context) (j *core.Join, post core.Expr, ok bool) {
+	switch x := n.(type) {
+	case *core.Join:
+		return x, nil, joinFusable(x, ctx)
+	case *core.Select:
+		if j, isJoin := x.Input.(*core.Join); isJoin && fusable(x, ctx) && joinFusable(j, ctx) {
+			return j, x.Cond, true
+		}
+	}
+	return nil, nil, false
+}
+
+// readOrds returns, in schema order, the ordinals of the columns the
+// expressions read. ok=false when a column reference does not resolve
+// in the schema; the consumer then compiles unnarrowed and reports the
+// error itself.
+func readOrds(exprs []core.Expr, in *schema.Schema) ([]int, bool) {
+	read := make([]bool, in.Len())
+	for _, e := range exprs {
+		for _, c := range core.ColRefsIn(e) {
+			ord, err := in.Resolve(c.Table, c.Name)
+			if err != nil {
+				return nil, false
+			}
+			read[ord] = true
+		}
+	}
+	ords := []int{}
+	for o, r := range read {
+		if r {
+			ords = append(ords, o)
+		}
+	}
+	return ords, true
+}
+
+// buildReadInput builds the input of a consumer that reads only the
+// columns its expressions reference. Over a fusable join (fusableJoin)
+// the join emits just those columns, in schema order, and the returned
+// schema is the narrowed one the consumer must compile against;
+// otherwise the input builds as usual and keeps its own schema.
+func buildReadInput(in core.Node, exprs []core.Expr, ctx *Context, env compileEnv) (BatchIterator, *schema.Schema, error) {
+	if j, post, ok := fusableJoin(in, ctx); ok {
+		full := j.Schema()
+		if ords, ok := readOrds(exprs, full); ok {
+			it, err := buildBatchJoin(j, post, ords, ctx, env)
+			return it, full.Project(ords), err
+		}
+	}
+	it, err := buildBatch(in, ctx, env)
+	return it, in.Schema(), err
+}
+
+// aggArgs returns the aggregates' argument expressions (count(*) has
+// none).
+func aggArgs(aggs []core.AggSpec) []core.Expr {
+	var out []core.Expr
+	for _, a := range aggs {
+		if a.Arg != nil {
+			out = append(out, a.Arg)
+		}
+	}
+	return out
+}
+
 func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, error) {
 	switch x := n.(type) {
 	case *core.Scan:
@@ -115,8 +184,8 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		// before they are ever copied into the output slab. High-reject
 		// filters directly over joins (the sorted-outer-union shape) are
 		// where the copy-then-discard churn was worst.
-		if j, ok := x.Input.(*core.Join); ok && fusable(x, ctx) && joinFusable(j, ctx) {
-			return buildBatchJoin(j, x.Cond, ctx, env)
+		if j, _, ok := fusableJoin(x, ctx); ok {
+			return buildBatchJoin(j, x.Cond, nil, ctx, env)
 		}
 		in, err := buildBatch(x.Input, ctx, env)
 		if err != nil {
@@ -134,28 +203,21 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return f, nil
 
 	case *core.Project:
-		// Fused filter+project: when the input is a Select whose node
-		// identity nothing observes, compile one operator that narrows
-		// the selection and gathers the survivors in a single pass.
-		if sel, ok := x.Input.(*core.Select); ok && fusable(sel, ctx) {
-			// Select-over-Join below the projection: prefer pushing the
-			// filter into the join (reject before copy) and projecting on
-			// top over fusing filter+project above a join that copies
-			// every candidate.
-			if j, ok := sel.Input.(*core.Join); ok && joinFusable(j, ctx) {
-				in, err := buildBatchJoin(j, sel.Cond, ctx, env)
-				if err != nil {
-					return nil, err
-				}
-				if ords, ok := pureColOrds(x.Exprs, x.Input.Schema()); ok {
-					return &bProjectCols{input: in, ords: ords}, nil
-				}
-				fns, err := compileAll(x.Exprs, x.Input.Schema(), env)
-				if err != nil {
-					return nil, err
-				}
-				return &bProject{input: in, exprs: fns, ctx: ctx}, nil
+		// Projection-into-join fusion: over a join whose identity nothing
+		// observes, the join writes the projection directly when it is
+		// pure column refs, and otherwise only the columns the
+		// expressions read, so no value the projection drops is copied.
+		j, post, overJoin := fusableJoin(x.Input, ctx)
+		if overJoin {
+			if ords, ok := pureColOrds(x.Exprs, j.Schema()); ok {
+				return buildBatchJoin(j, post, ords, ctx, env)
 			}
+		}
+		// Fused filter+project: when the input is a Select (not over a
+		// fusable join) whose node identity nothing observes, compile one
+		// operator that narrows the selection and gathers the survivors
+		// in a single pass.
+		if sel, ok := x.Input.(*core.Select); ok && !overJoin && fusable(sel, ctx) {
 			in, err := buildBatch(sel.Input, ctx, env)
 			if err != nil {
 				return nil, err
@@ -182,14 +244,14 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 			fu.exprs = fns
 			return fu, nil
 		}
-		in, err := buildBatch(x.Input, ctx, env)
+		in, inSchema, err := buildReadInput(x.Input, x.Exprs, ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		if ords, ok := pureColOrds(x.Exprs, x.Input.Schema()); ok {
+		if ords, ok := pureColOrds(x.Exprs, inSchema); ok {
 			return &bProjectCols{input: in, ords: ords}, nil
 		}
-		fns, err := compileAll(x.Exprs, x.Input.Schema(), env)
+		fns, err := compileAll(x.Exprs, inSchema, env)
 		if err != nil {
 			return nil, err
 		}
@@ -203,14 +265,17 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return &bDistinct{input: in}, nil
 
 	case *core.Join:
-		return buildBatchJoin(x, nil, ctx, env)
+		return buildBatchJoin(x, nil, nil, ctx, env)
 
 	case *core.GroupBy:
-		in, err := buildBatch(x.Input, ctx, env)
+		read := aggArgs(x.Aggs)
+		for _, c := range x.GroupCols {
+			read = append(read, c)
+		}
+		in, inSchema, err := buildReadInput(x.Input, read, ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		inSchema := x.Input.Schema()
 		ords, err := resolveCols(x.GroupCols, inSchema)
 		if err != nil {
 			return nil, err
@@ -222,11 +287,11 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 		return &bHashGroupBy{input: in, ords: ords, aggs: aggs, ctx: ctx}, nil
 
 	case *core.AggOp:
-		in, err := buildBatch(x.Input, ctx, env)
+		in, inSchema, err := buildReadInput(x.Input, aggArgs(x.Aggs), ctx, env)
 		if err != nil {
 			return nil, err
 		}
-		aggs, err := compileAggs(x.Aggs, x.Input.Schema(), env)
+		aggs, err := compileAggs(x.Aggs, inSchema, env)
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +368,10 @@ func buildBatchNode(n core.Node, ctx *Context, env compileEnv) (BatchIterator, e
 
 // buildBatchJoin compiles a join; postCond, when non-nil, is a parent
 // Select's condition fused in as a post-filter over the join's output
-// schema (see bHashJoin.post).
-func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileEnv) (BatchIterator, error) {
+// schema (see bHashJoin.post). ords, when non-nil, are the ordinals of
+// the join's output schema its consumer reads, fused in as the join's
+// output columns (see joinOut); the predicates still see whole rows.
+func buildBatchJoin(j *core.Join, postCond core.Expr, ords []int, ctx *Context, env compileEnv) (BatchIterator, error) {
 	left, err := buildBatch(j.Left, ctx, env)
 	if err != nil {
 		return nil, err
@@ -336,6 +403,10 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 	}
 	leftArity := j.Left.Schema().Len()
 	rightArity := j.Right.Schema().Len()
+	out := joinOut{width: leftArity + rightArity, ords: ords}
+	if ords != nil {
+		out.width = len(ords)
+	}
 	if method == core.JoinMerge && len(pairs) == 1 {
 		ls, rs := j.Left.Schema(), j.Right.Schema()
 		lo, err := ls.Resolve(pairs[0].Left.Table, pairs[0].Left.Name)
@@ -356,7 +427,7 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 			left: left, right: right, pred: pred, post: post, ctx: ctx,
 			leftOrd: lo, rightOrd: ro,
 			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-			width: leftArity + rightArity,
+			width: leftArity + rightArity, outBuf: out,
 		}, nil
 	}
 	if (method == core.JoinHash || method == core.JoinMerge) && len(pairs) > 0 {
@@ -387,13 +458,13 @@ func buildBatchJoin(j *core.Join, postCond core.Expr, ctx *Context, env compileE
 			left: left, right: right, pred: pred, post: post, ctx: ctx,
 			leftOrds: leftOrds, rightOrds: rightOrds,
 			outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-			width: leftArity + rightArity,
+			width: leftArity + rightArity, outBuf: out,
 		}, nil
 	}
 	return &bNLJoin{
 		left: left, right: right, pred: pred, post: post, ctx: ctx,
 		outerJoin: j.Kind == core.LeftOuterJoin, rightArity: rightArity,
-		width: leftArity + rightArity,
+		width: leftArity + rightArity, outBuf: out,
 	}, nil
 }
 

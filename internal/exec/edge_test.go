@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -306,5 +309,60 @@ func TestDateValuesFlowThrough(t *testing.T) {
 		Aggs: []core.AggSpec{{Fn: "count", Star: true, As: "n"}}}
 	if res := mustRun(t, g, ctx); len(res.Rows) != 2 {
 		t.Errorf("date grouping: %v", res.Rows)
+	}
+}
+
+// TestSumIsChecked: an integer SUM adds exactly and fails only when the
+// final total leaves int64, with the error integer arithmetic returns.
+func TestSumIsChecked(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	ints := func(vs ...int64) []types.Value {
+		out := make([]types.Value, len(vs))
+		for i, v := range vs {
+			out[i] = types.NewInt(v)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		in       []types.Value
+		want     types.Value
+		overflow bool
+	}{
+		{"five-max", ints(maxI, maxI, maxI, maxI, maxI), types.Null, true},
+		{"max-plus-one", ints(maxI, 1), types.Null, true},
+		{"min-minus-one", ints(minI, -1), types.Null, true},
+		{"max-up-and-back", ints(maxI, 1, -1), types.NewInt(maxI), false},
+		{"min-down-and-back", ints(minI, -1, 1), types.NewInt(minI), false},
+		{"max-min-cancel", ints(maxI, maxI, minI, minI, 1), types.NewInt(-1), false},
+		{"nulls-skipped", []types.Value{types.Null, types.NewInt(2), types.Null}, types.NewInt(2), false},
+		{"all-null", []types.Value{types.Null}, types.Null, false},
+		{"float-promotes", []types.Value{types.NewInt(maxI), types.NewFloat(1)}, types.NewFloat(float64(maxI) + 1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := newAccum(core.AggSpec{Fn: "sum"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range tc.in {
+				if err := a.add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := a.result()
+			if tc.overflow {
+				if !errors.Is(err, types.ErrIntegerOverflow) {
+					t.Fatalf("sum = %v, err = %v; want types.ErrIntegerOverflow", got, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("sum = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -46,11 +46,13 @@ func groupKeyEqual(key types.Row, r types.Row, ords []int) bool {
 // Buckets are keyed by the 64-bit hash, and every row is compared
 // against the actual key values of the groups sharing its bucket: rows
 // whose keys merely collide are split into distinct groups, so hash-
-// and sort-based partitioning always produce identical groups. Rows are
-// copied into the group's storage: each group is a temporary relation
-// (paper §3), so the partition phase pays memory traffic proportional
-// to row width — the cost the projection-before-GApply rule exists to
-// shrink, and the byte meter the partition budget is charged against.
+// and sort-based partitioning always produce identical groups. Each
+// group is a temporary relation (paper §3) holding the outer rows'
+// headers: row values are immutable once emitted (the batch ownership
+// contract), so no value is copied. The budget is still charged each
+// row's full byte size, the memory a group keeps alive; the projection-
+// before-GApply rule shrinks that by narrowing the rows the outer plan
+// emits.
 func partitionByHash(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) ([][]types.Row, error) {
 	buckets := make(map[uint64][]int) // hash -> indexes of groups in that bucket
 	var groups [][]types.Row
@@ -76,64 +78,60 @@ func partitionByHash(rows []types.Row, ords []int, ctx *Context, plan *core.GApp
 		if err := chargePartition(ctx, plan, r); err != nil {
 			return nil, err
 		}
-		groups[gi] = append(groups[gi], r.Clone())
+		groups[gi] = append(groups[gi], r)
 	}
 	return groups, nil
 }
 
-// partitionBySort sorts rows on the grouping columns and cuts runs,
-// copying rows into the sorted temporary storage (see partitionByHash).
+// partitionBySort sorts rows on the grouping columns, in place, and
+// cuts runs (see partitionByHash for what a group holds).
 func partitionBySort(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) ([][]types.Row, error) {
-	sorted, err := clonePartitionRows(rows, ctx, plan)
-	if err != nil {
+	if err := chargePartitionRows(rows, ctx, plan); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return types.CompareRows(sorted[i], sorted[j], ords, nil) < 0
+	sort.SliceStable(rows, func(i, j int) bool {
+		return types.CompareRows(rows[i], rows[j], ords, nil) < 0
 	})
-	return cutGroupRuns(sorted, ords), nil
+	return cutGroupRuns(rows, ords), nil
 }
 
 // partitionOrdered cuts group runs from an outer stream the optimizer
 // proved already arrives in ascending group-key order (an ordered index
-// access path): identical clones, budget charges, cancellation points
-// and resulting groups to partitionBySort — an already-ordered input is
-// a fixed point of the stable sort — minus the O(n log n) sort itself.
+// access path): identical budget charges, cancellation points and
+// resulting groups to partitionBySort — an already-ordered input is a
+// fixed point of the stable sort — minus the O(n log n) sort itself.
 // A violated order expectation (a planner bug, not a data property)
 // falls back to the stable sort rather than emit misgrouped output; the
 // verification is one comparison per row, paid inside the run cut
 // anyway.
 func partitionOrdered(rows []types.Row, ords []int, ctx *Context, plan *core.GApply) ([][]types.Row, error) {
-	sorted, err := clonePartitionRows(rows, ctx, plan)
-	if err != nil {
+	if err := chargePartitionRows(rows, ctx, plan); err != nil {
 		return nil, err
 	}
-	for i := 1; i < len(sorted); i++ {
-		if types.CompareRows(sorted[i-1], sorted[i], ords, nil) > 0 {
-			sort.SliceStable(sorted, func(a, b int) bool {
-				return types.CompareRows(sorted[a], sorted[b], ords, nil) < 0
+	for i := 1; i < len(rows); i++ {
+		if types.CompareRows(rows[i-1], rows[i], ords, nil) > 0 {
+			sort.SliceStable(rows, func(a, b int) bool {
+				return types.CompareRows(rows[a], rows[b], ords, nil) < 0
 			})
 			break
 		}
 	}
-	return cutGroupRuns(sorted, ords), nil
+	return cutGroupRuns(rows, ords), nil
 }
 
-// clonePartitionRows copies the drained outer rows into the partition's
-// temporary storage, charging the budget and polling cancellation per
-// row — the shared front half of both sort-family partitioners.
-func clonePartitionRows(rows []types.Row, ctx *Context, plan *core.GApply) ([]types.Row, error) {
-	cloned := make([]types.Row, len(rows))
-	for i, r := range rows {
+// chargePartitionRows charges the budget for the drained outer rows the
+// partition keeps and polls cancellation per row — the shared front
+// half of both sort-family partitioners.
+func chargePartitionRows(rows []types.Row, ctx *Context, plan *core.GApply) error {
+	for _, r := range rows {
 		if err := ctx.tick(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := chargePartition(ctx, plan, r); err != nil {
-			return nil, err
+			return err
 		}
-		cloned[i] = r.Clone()
 	}
-	return cloned, nil
+	return nil
 }
 
 // cutGroupRuns splits key-ordered rows into their group runs.

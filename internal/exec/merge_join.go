@@ -154,7 +154,6 @@ func (m *bMergeJoin) Open() error {
 	if (m.pred != nil || m.post != nil) && m.probeRow == nil {
 		m.probeRow = make(types.Row, m.width)
 	}
-	m.outBuf.width = m.width
 	return m.left.Open()
 }
 

@@ -208,6 +208,45 @@ func TestPartitionHashSortDifferential(t *testing.T) {
 	}
 }
 
+// TestPartitionGroupsAliasInputRows: the partition phase keeps the
+// outer rows' headers — every group row shares its backing array with
+// an input row (row values are immutable once emitted), so partitioning
+// copies no value.
+func TestPartitionGroupsAliasInputRows(t *testing.T) {
+	parts := map[string]func([]types.Row, []int, *Context, *core.GApply) ([][]types.Row, error){
+		"hash":    partitionByHash,
+		"sort":    partitionBySort,
+		"ordered": partitionOrdered,
+	}
+	for name, partition := range parts {
+		t.Run(name, func(t *testing.T) {
+			var rows []types.Row
+			inputs := make(map[*types.Value]bool)
+			for i := 0; i < 12; i++ {
+				r := types.Row{types.NewInt(int64(i % 3)), types.NewString("payload")}
+				rows = append(rows, r)
+				inputs[&r[0]] = true
+			}
+			groups, err := partition(rows, []int{0}, fixture(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, g := range groups {
+				for _, r := range g {
+					if !inputs[&r[0]] {
+						t.Fatalf("group row %v is a copy, want the input row itself", r)
+					}
+					n++
+				}
+			}
+			if n != len(inputs) {
+				t.Fatalf("groups hold %d rows, want %d", n, len(inputs))
+			}
+		})
+	}
+}
+
 // ------------------------------------------------------ resource budget
 
 func TestBudgetMaxOutputRows(t *testing.T) {

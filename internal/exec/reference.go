@@ -285,7 +285,11 @@ func (ev *refEval) aggregate(rows []types.Row, specs []core.AggSpec, in core.Nod
 	}
 	out := make(types.Row, len(states))
 	for i, st := range states {
-		out[i] = st.result()
+		v, err := st.result()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
 	}
 	return out, nil
 }

@@ -6,16 +6,11 @@ import (
 	"strings"
 )
 
-// Row is a tuple of values. Operators share backing arrays where safe;
-// Clone when a row outlives its producer (e.g. materialized partitions).
+// Row is a tuple of values. An emitted row's values are never written
+// again, so operators share its backing array freely: a consumer that
+// keeps a row (a join build, a sort, a GApply partition) keeps its
+// header, not a copy.
 type Row []Value
-
-// Clone returns a copy of the row with fresh backing storage.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Concat returns the concatenation of r and s in a fresh row, the tuple
 // shape produced by joins and by GApply's cross product of grouping

@@ -461,7 +461,7 @@ func arith(a, b Value, op byte) (Value, error) {
 			return Null, fmt.Errorf("types: unknown operator %c", op)
 		}
 		if overflow {
-			return Null, fmt.Errorf("types: integer overflow: %d %c %d", x, op, y)
+			return Null, fmt.Errorf("%w: %d %c %d", ErrIntegerOverflow, x, op, y)
 		}
 		return NewInt(r), nil
 	}
